@@ -49,6 +49,7 @@ from .ideals import (
     is_hereditary,
     is_saturated,
     lattice,
+    lattice_bruteforce,
     saturated_hereditary_closure,
 )
 from .io_formats import (

@@ -15,7 +15,7 @@ period is then the lcm of the cycle lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .correspondence import (
@@ -76,20 +76,27 @@ def condition_L(g: Graph) -> ConditionL:
     """
     g.require_valid()
     next_edge = {v: g._out[v][0] for v in g.vertices if len(g._out[v]) == 1}
-    for v in g.vertices:
-        if v not in next_edge:
-            continue
-        trail = []
-        u = v
-        for _ in range(len(g.vertices)):
-            e = next_edge.get(u)
-            if e is None:
-                break
-            trail.append(e.id)
-            u = e.dst
-            if u == v:
-                return ConditionL(False, Path(g, tuple(trail)))
-    return ConditionL(True, None)
+    # Walk from each vertex until the walk leaves the out-degree-one
+    # subgraph or meets a vertex seen before; meeting the current walk
+    # closes a new exitless cycle.  Each vertex is walked over once: O(V).
+    walk_of: dict[str, str] = {}
+    on_cycle: set[str] = set()
+    for start in g.vertices:
+        u = start
+        while u in next_edge and u not in walk_of:
+            walk_of[u] = start
+            u = next_edge[u].dst
+        if walk_of.get(u) == start:
+            while u not in on_cycle:
+                on_cycle.add(u)
+                u = next_edge[u].dst
+    first = next((v for v in g.vertices if v in on_cycle), None)
+    if first is None:
+        return ConditionL(True, None)
+    trail = [next_edge[first]]
+    while trail[-1].dst != first:
+        trail.append(next_edge[trail[-1].dst])
+    return ConditionL(False, Path(g, tuple(e.id for e in trail)))
 
 
 def condition_L_bruteforce(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionL:
@@ -116,7 +123,14 @@ def condition_S(g: Graph) -> ConditionS:
     g.require_valid()
     if any(not g._out[v] for v in g.vertices):
         return ConditionS(False, "has_sinks")
-    if not condition_L(g).holds:
+    return _condition_S(False, condition_L(g))
+
+
+def _condition_S(has_sinks: bool, cl: ConditionL) -> ConditionS:
+    """Condition (S) from the graph's sink status and its Condition (L)."""
+    if has_sinks:
+        return ConditionS(False, "has_sinks")
+    if not cl.holds:
         return ConditionS(False, "fails_L")
     return ConditionS(True, "ok")
 
@@ -209,6 +223,8 @@ class WitnessRequest:
             raise ValueError("weight function must be nonzero")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        if not isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.epsilon > self.a.sup_norm:

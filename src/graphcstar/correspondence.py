@@ -14,7 +14,7 @@ leading block of alpha and alpha overlaps itself with shift k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Optional
 
 from .graphs import Graph, Path
@@ -38,6 +38,8 @@ class VertexWeights:
             if v not in self.graph.vertex_pos:
                 raise ValueError(f"unknown vertex {v!r}")
             w = float(w)
+            if not isfinite(w):
+                raise ValueError(f"non-finite weight {w} at vertex {v!r}")
             if w < 0:
                 raise ValueError(f"negative weight {w} at vertex {v!r}")
             clean[v] = w

@@ -148,6 +148,55 @@ class Graph:
             inc[e.dst].append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        """Strongly connected components in reverse topological order: every
+        edge leaving a component lands in an earlier one.
+
+        Iterative Tarjan (SIAM J. Comput. 1972), so path length is not bound
+        by the recursion limit; O(V+E).
+        """
+        index: dict[str, int] = {}
+        low: dict[str, int] = {}
+        stack: list[str] = []
+        on_stack: set[str] = set()
+        components: list[tuple[str, ...]] = []
+        for root in self.vertices:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(self._out[root]))]
+            while work:
+                v, edges = work[-1]
+                for e in edges:
+                    w = e.dst
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        on_stack.add(w)
+                        work.append((w, iter(self._out[w])))
+                        break
+                    if w in on_stack and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                    if low[v] == index[v]:
+                        members = []
+                        while True:
+                            w = stack.pop()
+                            on_stack.discard(w)
+                            members.append(w)
+                            if w == v:
+                                break
+                        components.append(tuple(members))
+        return tuple(components)
+
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""
         self.require_valid()
@@ -312,13 +361,24 @@ def count_paths(g: Graph, n: int) -> int:
 
 
 def matrix_power(m: list[list[int]], n: int) -> list[list[int]]:
-    """n-th power of a square integer matrix, exact arithmetic, n >= 1."""
+    """n-th power of a square integer matrix, exact arithmetic, n >= 1.
+
+    Repeated squaring: O(log n) products.
+    """
+    return _power(m, n, matmul)
+
+
+def _power(m: list[list[int]], n: int, mul) -> list[list[int]]:
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    result = m
-    for _ in range(n - 1):
-        result = matmul(result, m)
-    return result
+    result = None
+    while True:
+        if n & 1:
+            result = m if result is None else mul(result, m)
+        n >>= 1
+        if not n:
+            return result
+        m = mul(m, m)
 
 
 def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -338,9 +398,8 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     g.require_valid()
     if n < 1:
         raise ValueError("power must be at least 1")
-    total = count_paths(g, n)
-    if total > cap:
-        raise CapExceeded(f"power graph too large: {total} edges exceeds cap {cap}")
+    if _count_paths_saturating(g, n, cap + 1) > cap:
+        raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
     edges = []
     for p in paths_of_length(g, n):
         first = g.edge_map[p.edges[0]]
@@ -354,6 +413,20 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
             "power graph edge ids collide; avoid '.' in edge ids: "
             + "; ".join(i.message for i in check.issues))
     return result
+
+
+def _count_paths_saturating(g: Graph, n: int, ceiling: int) -> int:
+    """``min(count_paths(g, n), ceiling)`` without forming larger integers.
+
+    For nonnegative integers, ``min(., ceiling)`` commutes with sums and
+    products, so clamping every entry after each product keeps each entry
+    equal to the clamped exact entry.
+    """
+    def mul(a, b):
+        return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
+
+    m = [[min(x, ceiling) for x in row] for row in g.adjacency_matrix()]
+    return min(sum(sum(row) for row in _power(m, n, mul)), ceiling)
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
@@ -370,25 +443,36 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
     """
     g.require_valid()
     pos = g.vertex_pos
+    out = g._out
     result: list[Path] = []
-
-    def dfs(v: str, base_pos: int, base: str, trail: list[str], on_trail: set[str]) -> None:
-        for e in g._out[v]:
-            if e.dst == base:
-                trail.append(e.id)
-                result.append(Path(g, tuple(trail)))
-                trail.pop()
-                if len(result) > cap:
-                    raise CapExceeded(f"cycle enumeration exceeds cap {cap}")
-            elif pos[e.dst] > base_pos and e.dst not in on_trail:
-                trail.append(e.id)
-                on_trail.add(e.dst)
-                dfs(e.dst, base_pos, base, trail, on_trail)
-                on_trail.discard(e.dst)
-                trail.pop()
-
-    for base in g.vertices:
-        dfs(base, pos[base], base, [], {base})
+    for base_pos, base in enumerate(g.vertices):
+        # Depth-first search with an explicit stack: one out-edge iterator
+        # per vertex on the trail, so cycle length is not bound by the
+        # recursion limit.
+        trail: list[str] = []        # edge ids from base
+        reached: list[str] = []      # trail[i] ends at reached[i]
+        on_trail = {base}
+        stack = [iter(out[base])]
+        while stack:
+            for e in stack[-1]:
+                w = e.dst
+                if w == base:
+                    trail.append(e.id)
+                    result.append(Path(g, tuple(trail)))
+                    trail.pop()
+                    if len(result) > cap:
+                        raise CapExceeded(f"cycle enumeration exceeds cap {cap}")
+                elif pos[w] > base_pos and w not in on_trail:
+                    trail.append(e.id)
+                    reached.append(w)
+                    on_trail.add(w)
+                    stack.append(iter(out[w]))
+                    break
+            else:
+                stack.pop()
+                if reached:
+                    trail.pop()
+                    on_trail.discard(reached.pop())
     return result
 
 
@@ -446,19 +530,8 @@ def connectivity(g: Graph) -> Connectivity:
                 stack.append(w)
     weak = len(seen) == len(g.vertices)
 
-    all_vs = set(g.vertices)
-    strong = True
-    for v in g.vertices:
-        # reachable via at least one edge
-        reach: set[str] = set()
-        stack = [e.dst for e in g._out[v]]
-        while stack:
-            w = stack.pop()
-            if w in reach:
-                continue
-            reach.add(w)
-            stack.extend(e.dst for e in g._out[w] if e.dst not in reach)
-        if reach != all_vs:
-            strong = False
-            break
+    # One component reaches itself by a path of length at least one exactly
+    # when it has two vertices or a self-loop.
+    strong = len(g._components) == 1 and (
+        len(g.vertices) > 1 or bool(g._out[g.vertices[0]]))
     return Connectivity(weak, strong)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .conditions import condition_L, condition_S, periodicity
-from .graphs import Graph, Path, vertex_classes
-from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, lattice
+from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
+from .graphs import Graph, Path, VertexClasses, vertex_classes
+from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _saturated_part, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -99,10 +99,13 @@ def simplicity_verdict(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[str, t
     g.require_valid()
     cl = condition_L(g)
     sat_her = lattice(g, "saturated_hereditary", cap=cap)
-    trivial = sat_her.is_trivial()
+    cs = _condition_S(bool(vertex_classes(g).sinks), cl)
+    return _simplicity(cl, cs, sat_her.is_trivial())
+
+
+def _simplicity(cl: ConditionL, cs: ConditionS, trivial: bool) -> tuple[str, tuple[str, ...]]:
     verdict = SIMPLE if cl.holds and trivial else NOT_SIMPLE
     tags = ["simplicity-criterion"]
-    cs = condition_S(g)
     if cs.holds and trivial:
         # Independent route: Condition (S) with no invariant ideals.  It can
         # only ever point the same way, since (S) implies (L).
@@ -124,24 +127,32 @@ def schweizer_check(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Schweizer
     :class:`InternalInvariantError`.
     """
     g.require_valid()
-    classes = vertex_classes(g)
+    status = _schweizer_status(vertex_classes(g))
+    if not status.holds:
+        return status, None
+    her = lattice(g, "hereditary", cap=cap)
+    cl = condition_L(g)
+    # The hypotheses include "no sinks".
+    actual, _ = _simplicity(cl, _condition_S(False, cl), _saturated_part(her).is_trivial())
+    return status, _schweizer_prediction(not periodicity(g).periodic, her.is_trivial(), actual)
+
+
+def _schweizer_status(classes: VertexClasses) -> SchweizerStatus:
     failed = []
     if classes.sources:
         failed.append("has_sources")
     if classes.sinks:
         failed.append("has_sinks")
-    status = SchweizerStatus(not failed, tuple(failed))
-    if not status.holds:
-        return status, None
-    nonper = not periodicity(g).periodic
-    her = lattice(g, "hereditary", cap=cap)
-    predicted = SIMPLE if nonper and her.is_trivial() else NOT_SIMPLE
-    actual, _ = simplicity_verdict(g, cap=cap)
+    return SchweizerStatus(not failed, tuple(failed))
+
+
+def _schweizer_prediction(nonperiodic: bool, trivial_hereditary: bool, actual: str) -> str:
+    predicted = SIMPLE if nonperiodic and trivial_hereditary else NOT_SIMPLE
     if predicted != actual:
         raise InternalInvariantError(
             f"dichotomy predicts {predicted} but the simplicity criterion "
             f"gives {actual}")
-    return status, predicted
+    return predicted
 
 
 def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
@@ -153,18 +164,19 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     nontrivial invariant ideals yet not simple), and
     ``periodic_disjoint_cycles`` (the periodic case, always a disjoint union
     of cycles).
+
+    Each fact is derived once and shared by the simplicity verdict and the
+    dichotomy check.
     """
     g.require_valid()
     classes = vertex_classes(g)
     no_sinks = not classes.sinks
     no_sources = not classes.sources
     cl = condition_L(g)
-    cs = condition_S(g)
+    cs = _condition_S(not no_sinks, cl)
     per = periodicity(g)
     her = lattice(g, "hereditary", cap=cap)
-    sat_her = lattice(g, "saturated_hereditary", cap=cap)
-    verdict, tags = simplicity_verdict(g, cap=cap)
-    schweizer, predicted = schweizer_check(g, cap=cap)
+    sat_her = _saturated_part(her)
 
     flags = ReportFlags(
         no_sinks=no_sinks,
@@ -179,6 +191,11 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
         trivial_hereditary=her.is_trivial(),
         trivial_saturated_hereditary=sat_her.is_trivial(),
     )
+    verdict, tags = _simplicity(cl, cs, flags.trivial_saturated_hereditary)
+    schweizer = _schweizer_status(classes)
+    predicted = None
+    if schweizer.holds:
+        predicted = _schweizer_prediction(flags.nonperiodic, flags.trivial_hereditary, verdict)
     if flags.condition_S != (flags.condition_L and flags.no_sinks):
         raise InternalInvariantError("Condition (S) flag is inconsistent")
     if verdict != (SIMPLE if flags.condition_L and flags.trivial_saturated_hereditary else NOT_SIMPLE):

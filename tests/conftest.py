@@ -33,6 +33,15 @@ def cycle_graph(n: int) -> Graph:
     return Graph(vertices, edges)
 
 
+def chain_graph(n: int, loop: bool = False) -> Graph:
+    """v0 -> v1 -> ... -> v{n-1}, optionally with a loop at the last vertex."""
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    if loop:
+        edges.append(("loop", vertices[-1], vertices[-1]))
+    return Graph(vertices, tuple(edges))
+
+
 def two_loops() -> Graph:
     # loop at u, edge into w, loop at w; the w loop has no exit
     return Graph(("u", "w"), (("a", "u", "u"), ("b", "u", "w"), ("c", "w", "w")))
@@ -118,6 +127,15 @@ def random_graph(rng: random.Random, max_vertices: int = 6, max_edges: int = 10)
     edges = tuple((f"e{i}", rng.choice(vertices), rng.choice(vertices))
                   for i in range(ne))
     return Graph(vertices, edges)
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """The same graph with vertices and edges declared in a random order."""
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges))
 
 
 def _permutation_based(rng: random.Random, max_vertices: int, max_edges: int) -> Graph:

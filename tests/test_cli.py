@@ -2,15 +2,17 @@ import json
 
 import pytest
 
+from graphcstar import serialize_json
 from graphcstar.cli import main
 
-from conftest import fixture_path
+from conftest import cycle_graph, fixture_path
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
 G_LCM = str(fixture_path("g_lcm"))
 G_TWO_LOOPS = str(fixture_path("g_two_loops"))
 G_EXIT = str(fixture_path("g_exit"))
+G_ROSE2 = str(fixture_path("g_rose2"))
 
 
 def run(capsys, *argv):
@@ -74,12 +76,28 @@ def test_power_cap_exhaustion_exits_3(capsys):
     assert "power graph too large" in err
 
 
+def test_power_cap_on_huge_count_exits_3(capsys):
+    # R_2 has 2^100000 paths of that length; the cap check must not format it.
+    code, out, err = run(capsys, "power", G_ROSE2, "-n", "100000", "--cap-paths", "10")
+    assert code == 3 and out == ""
+    assert "power graph too large: more than 10 edges exceeds cap 10" in err
+
+
 def test_cycles(capsys):
     code, out, _ = run(capsys, "cycles", G_EXIT)
     assert code == 0
     assert out.splitlines() == ["u: a", "u: b d", "w: c"]
     code, out, _ = run(capsys, "cycles", G_EXIT, "--format", "json")
     assert json.loads(out) == [["a"], ["b", "d"], ["c"]]
+
+
+def test_cycles_on_long_cycle(tmp_path, capsys):
+    g = cycle_graph(3000)
+    path = tmp_path / "c3000.json"
+    path.write_text(json.dumps(serialize_json(g)))
+    code, out, err = run(capsys, "cycles", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["v1: " + " ".join(f"e{i}" for i in range(1, 3001))]
 
 
 def test_ideals(capsys):
@@ -114,6 +132,15 @@ def test_witness_bad_weights_exit_2(capsys):
     code, _, err = run(capsys, "witness", G_EXIT, "--weights", "u=-1",
                        "--n", "0", "--epsilon", "0.5", "--max-length", "4")
     assert code == 2 and "negative" in err
+
+
+def test_witness_non_finite_numbers_exit_2(capsys):
+    code, out, err = run(capsys, "witness", G_EXIT, "--support", "u",
+                         "--epsilon", "nan", "--max-length", "4")
+    assert code == 2 and out == "" and "epsilon must be finite" in err
+    code, out, err = run(capsys, "witness", G_EXIT, "--weights", "u=inf",
+                         "--epsilon", "0.5", "--max-length", "4")
+    assert code == 2 and out == "" and "non-finite weight" in err
 
 
 def test_parse_error_exits_1(tmp_path, capsys):

@@ -25,12 +25,14 @@ from graphcstar.conditions import is_returning as _is_returning
 
 from conftest import (
     SINKFREE_L_FIXTURES,
+    chain_graph,
     cycle_graph,
     exit_graph,
     lcm_graph,
     random_graph,
     random_no_sink_no_source,
     rose2,
+    shuffled,
     source_loop,
     theta,
     two_loops,
@@ -83,6 +85,36 @@ def test_condition_L_agrees_with_bruteforce():
         if not fast.holds:
             failures += 1
     assert failures > 50  # both branches exercised
+
+
+def test_condition_L_agrees_with_bruteforce_shuffled():
+    # Mostly out-degree-one vertices, so exitless cycles are common and
+    # several may compete for the earliest declared vertex.
+    rng = random.Random(43)
+    failures = 0
+    for _ in range(1500):
+        nv = rng.randint(1, 8)
+        vertices = [f"v{i}" for i in range(nv)]
+        edges = [(f"e{i}", v, rng.choice(vertices)) for i, v in enumerate(vertices)
+                 if rng.random() < 0.9]
+        for j in range(rng.randint(0, 3)):
+            edges.append((f"x{j}", rng.choice(vertices), rng.choice(vertices)))
+        g = shuffled(Graph(tuple(vertices), tuple(edges)), rng)
+        fast = condition_L(g)
+        brute = condition_L_bruteforce(g)
+        assert fast.holds == brute.holds
+        assert fast.violating_cycle == brute.violating_cycle, g
+        failures += not fast.holds
+    assert 300 < failures < 1400  # both branches exercised
+
+
+def test_condition_L_on_long_inputs():
+    g = chain_graph(10_000)
+    assert condition_L(g) == (True, None)
+    holds, cycle = condition_L(chain_graph(10_000, loop=True))
+    assert not holds and cycle.edges == ("loop",)
+    holds, cycle = condition_L(cycle_graph(10_000))
+    assert not holds and cycle.edges == tuple(f"e{i}" for i in range(1, 10_001))
 
 
 def test_condition_S_examples():
@@ -153,6 +185,9 @@ def test_witness_request_validation():
         WitnessRequest(a=a, n=3, epsilon=0.5, max_length=3)
     with pytest.raises(ValueError, match="nonnegative"):
         WitnessRequest(a=a, n=-1, epsilon=0.5, max_length=3)
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            WitnessRequest(a=a, n=0, epsilon=eps, max_length=3)
 
 
 def test_find_witness_first_hit_is_lexicographic():

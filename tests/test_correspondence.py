@@ -32,6 +32,9 @@ def test_vertex_weights_validation():
     assert VertexWeights.indicator(g, ["w"])("w") == 1.0
     with pytest.raises(ValueError, match="negative"):
         VertexWeights(g, {"u": -1.0})
+    for w in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            VertexWeights(g, {"u": w})
     with pytest.raises(ValueError, match="unknown vertex"):
         VertexWeights(g, {"zz": 1.0})
     with pytest.raises(ValueError, match="unknown vertex"):

@@ -16,14 +16,16 @@ from graphcstar import (
     simple_cycles,
     vertex_classes,
 )
-from graphcstar.graphs import matrix_power
+from graphcstar.graphs import _count_paths_saturating, matmul, matrix_power
 
 from conftest import (
+    chain_graph,
     cycle_graph,
     exit_graph,
     graphs_strategy,
     random_graph,
     rose2,
+    shuffled,
     source_loop,
     theta,
     two_loops,
@@ -106,6 +108,28 @@ def test_path_count_matches_adjacency_power():
         g = random_graph(rng, max_vertices=5, max_edges=8)
         for n in (1, 2, 3, 4, 5):
             assert len(paths_of_length(g, n)) == count_paths(g, n)
+
+
+def test_matrix_power_matches_repeated_products():
+    rng = random.Random(17)
+    for _ in range(60):
+        m = random_graph(rng, max_vertices=5, max_edges=10).adjacency_matrix()
+        product = m
+        for n in range(1, 14):
+            assert matrix_power(m, n) == product
+            product = matmul(product, m)
+    assert count_paths(rose2(), 200) == 2 ** 200
+    with pytest.raises(ValueError, match="at least 1"):
+        matrix_power([[1]], 0)
+
+
+def test_saturating_count_is_clamped_exact_count():
+    rng = random.Random(19)
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=5, max_edges=10)
+        n = rng.randint(1, 12)
+        ceiling = rng.choice((1, 2, 5, 30, 1000))
+        assert _count_paths_saturating(g, n, ceiling) == min(count_paths(g, n), ceiling)
 
 
 def test_path_count_between_vertices_matches_matrix_entry():
@@ -196,6 +220,24 @@ def test_simple_cycles_invariant_under_edge_renaming():
     assert [c.edges for c in simple_cycles(g2)] == expected
 
 
+def test_simple_cycles_match_networkx_counts():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    for _ in range(300):
+        g = shuffled(random_graph(rng, max_vertices=6, max_edges=12), rng)
+        multiplicity: dict[tuple[str, str], int] = {}
+        for e in g.edges:
+            multiplicity[e.src, e.dst] = multiplicity.get((e.src, e.dst), 0) + 1
+        d = nx.DiGraph(list(multiplicity))
+        expected = 0
+        for cyc in nx.simple_cycles(d):
+            count = 1
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                count *= multiplicity[a, b]
+            expected += count
+        assert len(simple_cycles(g)) == expected
+
+
 def test_simple_cycles_cap():
     g = rose2()
     with pytest.raises(CapExceeded, match="exceeds cap"):
@@ -232,6 +274,34 @@ def test_connectivity():
     assert connectivity(cycle_graph(1)) == (True, True)
     with pytest.raises(ValueError, match="empty graph"):
         connectivity(Graph((), ()))
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    strong_seen = 0
+    for _ in range(600):
+        g = shuffled(random_graph(rng, max_vertices=7, max_edges=rng.choice((4, 9, 16))), rng)
+        d = nx.MultiDiGraph()
+        d.add_nodes_from(g.vertices)
+        d.add_edges_from((e.src, e.dst) for e in g.edges)
+        assert {frozenset(c) for c in g._components} == {
+            frozenset(c) for c in nx.strongly_connected_components(d)}
+        rank = {v: i for i, c in enumerate(g._components) for v in c}
+        assert all(rank[e.dst] <= rank[e.src] for e in g.edges)  # sinks first
+        # strong: every vertex reaches every vertex by a path of length >= 1
+        strong = all(
+            set().union(*({w} | nx.descendants(d, w) for w in d.successors(v)))
+            == set(g.vertices)
+            for v in g.vertices)
+        assert connectivity(g) == (nx.is_weakly_connected(d), strong)
+        strong_seen += strong
+    assert strong_seen > 50
+
+
+def test_connectivity_on_long_inputs():
+    assert connectivity(cycle_graph(3000)) == (True, True)
+    assert connectivity(chain_graph(3000)) == (True, False)
 
 
 @given(graphs_strategy())

@@ -11,14 +11,18 @@ from graphcstar import (
     is_hereditary,
     is_saturated,
     lattice,
+    lattice_bruteforce,
     saturated_hereditary_closure,
 )
 
 from conftest import (
+    chain_graph,
     cycle_graph,
     graphs_strategy,
     random_graph,
+    random_no_sink_no_source,
     random_strongly_connected,
+    shuffled,
     source_loop,
     two_loops,
 )
@@ -112,6 +116,40 @@ def test_lattice_cap():
     assert len(lattice(g, "hereditary", cap=17)) == 2 ** 17
     with pytest.raises(ValueError, match="unknown lattice kind"):
         lattice(g, "invariant")
+
+
+def test_lattice_matches_bruteforce():
+    rng = random.Random(71)
+    nontrivial = 0
+    for i in range(2400):
+        if i % 3 == 2:
+            g = random_no_sink_no_source(rng, max_vertices=8, max_edges=14)
+        else:
+            g = random_graph(rng, max_vertices=8, max_edges=rng.choice((6, 12, 20)))
+        g = shuffled(g, rng)
+        for kind in ("hereditary", "saturated_hereditary"):
+            fast = lattice(g, kind)
+            brute = lattice_bruteforce(g, kind)
+            assert fast.kind == brute.kind == kind
+            assert fast.elements == brute.elements, (g, kind)
+        nontrivial += len(fast) > 2
+    assert nontrivial > 500  # beyond the trivial {}, V case
+
+
+def test_lattice_of_long_cycle():
+    g = cycle_graph(3000)
+    for kind in ("hereditary", "saturated_hereditary"):
+        assert lattice(g, kind, cap=3000).elements == (frozenset(), frozenset(g.vertices))
+
+
+def test_closure_on_long_chain():
+    g = chain_graph(10_000)
+    # hereditary: everything downstream of v0
+    assert saturated_hereditary_closure(g, {"v0"}) == frozenset(g.vertices)
+    # saturated: each vertex upstream feeds only into the set
+    assert saturated_hereditary_closure(g, {"v9999"}) == frozenset(g.vertices)
+    # the empty set is already closed
+    assert saturated_hereditary_closure(g, set()) == frozenset()
 
 
 def test_lattice_matches_closure_fixed_points():
