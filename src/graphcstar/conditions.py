@@ -18,21 +18,14 @@ from dataclasses import dataclass
 from math import isfinite, lcm
 from typing import Iterable, NamedTuple, Optional
 
-from .correspondence import (
-    PathVector,
-    VertexWeights,
-    inner_product,
-    is_nonreturning_vector,
-    left_action,
-    sup_norm,
-)
+from .correspondence import VertexWeights, _same_graph
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     Graph,
     Path,
+    _walks,
     cycle_exits,
     matmul,
-    paths_of_length,
     simple_cycles,
 )
 
@@ -237,33 +230,29 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     """Search for a nonreturning witness path beyond length ``req.n``.
 
     Scans lengths m = n+1 .. max_length in order and, within each length,
-    paths in lexicographic edge order.  A witness must start at a vertex
-    where the weight exceeds ``sup_norm(a) - epsilon`` strictly, must not be
-    a returning path, and its delta vector must pass the operator-level
-    nonreturning check; the attained value is re-derived through the inner
-    product before accepting.  Returns the first (m, path) found, or None
-    when the bound is exhausted -- which never claims nonexistence.
+    paths in lexicographic edge order, lazily; memory grows with m only.  A
+    witness must start at a vertex where the weight exceeds
+    ``sup_norm(a) - epsilon`` strictly and must not be a returning path.
+    That suffices for the delta vector at the path:
+
+    * it is nonreturning exactly when the last edge does not occur earlier
+      in the path, since an overlap of the path with its own shift by k
+      would repeat the last edge at position m-1-k;
+    * the value it attains, the sup norm of ``<zeta, a . zeta>``, is exactly
+      the weight at the path's source.
+
+    Returns the first (m, path) found, or None when the bound is exhausted
+    -- which never claims nonexistence.
     """
     g.require_valid()
-    if not _same(g, req.a.graph):
+    if not _same_graph(g, req.a.graph):
         raise ValueError("weights live over a different graph")
     threshold = req.a.sup_norm - req.epsilon
-    candidates = frozenset(
-        v for v in g.vertices if req.a(v) > threshold)
-    if not candidates:
+    first = [e for e in g.edges if req.a(e.src) > threshold]
+    if not first:
         return None
     for m in range(req.n + 1, req.max_length + 1):
-        for p in paths_of_length(g, m, from_vertices=candidates):
-            if is_returning(p):
-                continue
-            if not is_nonreturning_vector(p):
-                continue
-            zeta = PathVector.delta(p)
-            attained = sup_norm(inner_product(zeta, left_action(req.a, zeta)))
-            if attained > threshold:
-                return m, p
+        for seq in _walks(g, m, first):
+            if seq[-1] not in seq[:-1]:
+                return m, Path(g, seq)
     return None
-
-
-def _same(a: Graph, b: Graph) -> bool:
-    return a is b or a == b

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_POWER_CAP = 10**6
 DEFAULT_CYCLE_CAP = 10**6
@@ -211,12 +211,6 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}")
         return self._in[v]
 
-    def out_degree(self, v: str) -> int:
-        return len(self.out_edges(v))
-
-    def in_degree(self, v: str) -> int:
-        return len(self.in_edges(v))
-
     def adjacency_matrix(self) -> list[list[int]]:
         """Integer matrix ``M[i][j]`` = number of edges from vertex i to vertex j.
 
@@ -322,23 +316,38 @@ def paths_of_length(
     src_filter = _vertex_set(g, from_vertices)
     dst_filter = _vertex_set(g, to_vertices)
 
-    # Grow (edge tuple, range vertex) pairs; extending in edge order keeps
-    # the whole list lexicographically sorted at every stage.
-    current: list[tuple[tuple[str, ...], str]] = [
-        ((e.id,), e.dst)
-        for e in g.edges
-        if src_filter is None or e.src in src_filter
-    ]
-    for _ in range(n - 1):
-        nxt: list[tuple[tuple[str, ...], str]] = []
-        for seq, rng in current:
-            for e in g._out[rng]:
-                nxt.append((seq + (e.id,), e.dst))
-        current = nxt
+    first = [e for e in g.edges if src_filter is None or e.src in src_filter]
     return [
-        Path(g, seq) for seq, rng in current
-        if dst_filter is None or rng in dst_filter
+        Path(g, seq) for seq in _walks(g, n, first)
+        if dst_filter is None or g.edge_map[seq[-1]].dst in dst_filter
     ]
+
+
+def _walks(g: Graph, n: int, first: Iterable[Edge]) -> Iterator[tuple[str, ...]]:
+    """Edge-id tuples of the length-``n`` paths (``n >= 1``) whose first edge
+    is in ``first``, yielded lazily.
+
+    Depth-first with an explicit stack of out-edge iterators, so memory is
+    O(n) and path length is not bound by the recursion limit.  Edges are
+    tried in declaration order, so the tuples come in lexicographic order
+    when ``first`` is in declaration order.
+    """
+    out = g._out
+    trail: list[str] = []
+    stack = [iter(first)]
+    while stack:
+        for e in stack[-1]:
+            trail.append(e.id)
+            if len(trail) == n:
+                yield tuple(trail)
+                trail.pop()
+            else:
+                stack.append(iter(out[e.dst]))
+                break
+        else:
+            stack.pop()
+            if trail:
+                trail.pop()
 
 
 def _vertex_set(g: Graph, vs: Optional[Iterable[str]]) -> Optional[frozenset[str]]:
@@ -400,12 +409,10 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
         raise ValueError("power must be at least 1")
     if _count_paths_saturating(g, n, cap + 1) > cap:
         raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
-    edges = []
-    for p in paths_of_length(g, n):
-        first = g.edge_map[p.edges[0]]
-        last = g.edge_map[p.edges[-1]]
-        edges.append(Edge(".".join(p.edges), first.src, last.dst))
-    result = Graph(g.vertices, tuple(edges))
+    em = g.edge_map
+    edges = tuple(Edge(".".join(seq), em[seq[0]].src, em[seq[-1]].dst)
+                  for seq in _walks(g, n, g.edges))
+    result = Graph(g.vertices, edges)
     check = result.validate()
     if not check.ok:
         # Only possible when original edge ids contain the "." separator.
@@ -484,9 +491,6 @@ def cycle_exits(g: Graph, cycle: Path) -> list[str]:
     argument is not a cycle of this graph.
     """
     g.require_valid()
-    for eid in cycle.edges:
-        if eid not in g.edge_map:
-            raise ValueError(f"unknown edge {eid!r}")
     if not cycle.edges:
         raise ValueError("not a cycle: empty path")
     gp = g.path(cycle.edges)  # re-validates composability

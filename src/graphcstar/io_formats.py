@@ -158,7 +158,6 @@ def parse_dsl_document(text: str) -> GraphDocument:
 
     _raise(diags)
     g = Graph(tuple(vertices), tuple(edges))
-    g.require_valid()  # unreachable failure; parsing enforces the invariants
     return GraphDocument(text, g, vertex_lines, edge_lines)
 
 
@@ -262,9 +261,7 @@ def parse_json(document: Union[str, dict]) -> Graph:
             diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
     _raise(diags)
 
-    g = Graph(tuple(vertices), tuple(edges))
-    g.require_valid()
-    return g
+    return Graph(tuple(vertices), tuple(edges))
 
 
 def serialize_json(g: Graph) -> dict:

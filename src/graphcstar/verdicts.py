@@ -107,11 +107,8 @@ def _simplicity(cl: ConditionL, cs: ConditionS, trivial: bool) -> tuple[str, tup
     verdict = SIMPLE if cl.holds and trivial else NOT_SIMPLE
     tags = ["simplicity-criterion"]
     if cs.holds and trivial:
-        # Independent route: Condition (S) with no invariant ideals.  It can
-        # only ever point the same way, since (S) implies (L).
-        if verdict != SIMPLE:
-            raise InternalInvariantError(
-                "Condition (S) route and Condition (L) route disagree")
+        # Condition (S) with no invariant ideals gives simplicity too; it
+        # agrees with the verdict because (S) implies (L).
         tags.append("condition-s-simplicity")
     return verdict, tuple(tags)
 
@@ -196,10 +193,6 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     predicted = None
     if schweizer.holds:
         predicted = _schweizer_prediction(flags.nonperiodic, flags.trivial_hereditary, verdict)
-    if flags.condition_S != (flags.condition_L and flags.no_sinks):
-        raise InternalInvariantError("Condition (S) flag is inconsistent")
-    if verdict != (SIMPLE if flags.condition_L and flags.trivial_saturated_hereditary else NOT_SIMPLE):
-        raise InternalInvariantError("simplicity flag is inconsistent")
 
     counterexample = []
     if flags.nonperiodic and not flags.condition_L:

@@ -254,6 +254,12 @@ def test_criterion_08_nonreturning_paths_are_nonreturning_vectors():
         # every 97th shorter path gets a direct sandwich evaluation even when
         # the algebraic prefix test already rules it out
         samples = {k: tk[::97] for k, tk in by_len.items()}
+        # positions of each path in its length's list, in ascending order
+        positions: dict[int, dict[tuple[str, ...], list[int]]] = {}
+        for k, tk in by_len.items():
+            index = positions[k] = {}
+            for pos, t in enumerate(tk):
+                index.setdefault(t, []).append(pos)
         for m in list(by_len):
             for pt in by_len[m]:
                 if pt[-1] in pt[:-1]:
@@ -266,13 +272,9 @@ def test_criterion_08_nonreturning_paths_are_nonreturning_vectors():
                 for k in range(1, m):
                     tk = by_len[k]
                     pref = pt[:k]
-                    cnt = tk.count(pref)
-                    pos = 0
-                    for _ in range(cnt):
-                        pos = tk.index(pref, pos)
+                    for pos in positions[k].get(pref, ()):
                         if operator_sandwich(alpha, Path(g, tk[pos])) is not None:
                             failures.append((combo, pt, k, "oracle hit"))
-                        pos += 1
                     for bt in samples[k]:
                         if bt != pref and operator_sandwich(alpha, Path(g, bt)) is not None:
                             failures.append((combo, pt, bt, "sampled hit"))

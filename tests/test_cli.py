@@ -128,6 +128,17 @@ def test_witness_found(capsys):
     assert data == {"found": True, "m": 1, "path": ["a"], "source": "u"}
 
 
+def test_witness_on_long_paths(capsys):
+    # the witness is the second length-61 path from u; an eager search would
+    # first build all 2^61 of them
+    code, out, _ = run(capsys, "witness", G_ROSE2, "--support", "u",
+                       "--epsilon", "0.5", "--n", "60", "--max-length", "62",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"found": True, "m": 61, "path": ["f"] * 60 + ["g"],
+                               "source": "u"}
+
+
 def test_witness_bad_weights_exit_2(capsys):
     code, _, err = run(capsys, "witness", G_EXIT, "--weights", "u=-1",
                        "--n", "0", "--epsilon", "0.5", "--max-length", "4")

@@ -254,6 +254,52 @@ def test_find_witness_contract_on_sinkfree_L_fixtures():
                 assert attained > a.sup_norm - 0.5
 
 
+def _witness_reference(g, req):
+    """The eager search: every path of each length, re-checked three ways."""
+    threshold = req.a.sup_norm - req.epsilon
+    for m in range(req.n + 1, req.max_length + 1):
+        for p in paths_of_length(g, m):
+            if not req.a(p.source) > threshold or is_returning(p):
+                continue
+            if not is_nonreturning_vector(p):
+                continue
+            zeta = PathVector.delta(p)
+            if sup_norm(inner_product(zeta, left_action(req.a, zeta))) > threshold:
+                return m, p.edges
+    return None
+
+
+def test_find_witness_matches_eager_reference():
+    rng = random.Random(29)
+    hits = 0
+    for _ in range(1000):
+        g = random_graph(rng, max_vertices=5, max_edges=8)
+        weights = {v: rng.choice((0.0, 0.25, 0.5, 1.0, rng.random())) for v in g.vertices}
+        weights[rng.choice(g.vertices)] = rng.choice((1.0, 2.0, rng.uniform(0.5, 2.0)))
+        a = VertexWeights(g, weights)
+        # some epsilons put a weight exactly on the threshold
+        gaps = [a.sup_norm - w for w in weights.values() if w < a.sup_norm]
+        if gaps and rng.random() < 0.3:
+            epsilon = rng.choice(gaps)
+        else:
+            epsilon = a.sup_norm * rng.uniform(0.01, 1.0)
+        n = rng.randint(0, 3)
+        req = WitnessRequest(a=a, n=n, epsilon=epsilon, max_length=n + rng.randint(1, 3))
+        found = find_witness(g, req)
+        expected = _witness_reference(g, req)
+        assert (None if found is None else (found[0], found[1].edges)) == expected, g
+        hits += found is not None
+    assert 300 < hits < 900  # both outcomes exercised
+
+
+def test_find_witness_on_long_paths():
+    # f^61 returns; f^60 g is the next path in lexicographic order
+    g = rose2()
+    a = VertexWeights.indicator(g, ["u"])
+    m, path = find_witness(g, WitnessRequest(a=a, n=60, epsilon=0.5, max_length=62))
+    assert m == 61 and path.edges == ("f",) * 60 + ("g",)
+
+
 def test_find_witness_rejects_foreign_weights():
     g = exit_graph()
     a = VertexWeights.indicator(cycle_graph(2), ["v1"])

@@ -102,6 +102,19 @@ def test_paths_are_composable_and_lex_sorted():
             assert len(set(keys)) == len(keys)
 
 
+def test_paths_of_length_filters_match_filtered_full_list():
+    rng = random.Random(23)
+    for _ in range(1000):
+        g = random_graph(rng, max_vertices=5, max_edges=8)
+        n = rng.randint(1, 5)
+        sources = None if rng.random() < 0.3 else {v for v in g.vertices if rng.random() < 0.5}
+        ranges = None if rng.random() < 0.3 else {v for v in g.vertices if rng.random() < 0.5}
+        expected = [p for p in paths_of_length(g, n)
+                    if (sources is None or p.source in sources)
+                    and (ranges is None or p.range in ranges)]
+        assert paths_of_length(g, n, from_vertices=sources, to_vertices=ranges) == expected
+
+
 def test_path_count_matches_adjacency_power():
     rng = random.Random(11)
     for _ in range(100):
@@ -174,6 +187,13 @@ def test_power_graph_composition():
         except CapExceeded:
             continue
         assert lhs == rhs
+
+
+def test_power_graph_on_long_input():
+    g = power_graph(cycle_graph(3), 40_000)
+    # 40,000 is 1 mod 3: each path ends one vertex after it starts
+    assert [(e.src, e.dst) for e in g.edges] == [("v1", "v2"), ("v2", "v3"), ("v3", "v1")]
+    assert g.edges[0].id == ".".join(f"e{i % 3 + 1}" for i in range(40_000))
 
 
 def test_power_graph_cap():

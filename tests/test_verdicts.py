@@ -15,10 +15,14 @@ from graphcstar import (
     simplicity_verdict,
     vertex_classes,
 )
+from graphcstar import verdicts
+from graphcstar.cli import main
+from graphcstar.conditions import PeriodicityVerdict
 
 from conftest import (
     cycle_graph,
     exit_graph,
+    fixture_path,
     lcm_graph,
     random_no_sink_no_source,
     source_loop,
@@ -63,6 +67,18 @@ def test_schweizer_check():
     both = Graph(("a", "b"), (("e", "a", "b"),))
     status, predicted = schweizer_check(both)
     assert status.failed == ("has_sources", "has_sinks")
+
+
+def test_dichotomy_mismatch_raises(monkeypatch, capsys):
+    # a periodicity answer that contradicts the verdict must not pass silently
+    monkeypatch.setattr(verdicts, "periodicity",
+                        lambda g: PeriodicityVerdict(True, 1, "structural"))
+    with pytest.raises(verdicts.InternalInvariantError, match="dichotomy predicts"):
+        classify(exit_graph())
+    with pytest.raises(verdicts.InternalInvariantError, match="dichotomy predicts"):
+        schweizer_check(exit_graph())
+    assert main(["analyze", str(fixture_path("g_exit"))]) == 4
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_classify_two_loops():
