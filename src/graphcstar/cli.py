@@ -4,7 +4,8 @@ Subcommands: analyze, power, cycles, ideals, witness, classify, dot.  Input
 files ending in ``.json`` are read in the JSON form, everything else as the
 line DSL.
 
-Exit codes: 0 success; 1 parse or schema error; 2 semantic graph error;
+Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply
+included), or an input file that is missing or not UTF-8; 2 semantic graph error;
 3 a bound or cap was exhausted (including an unsuccessful witness search);
 4 internal invariant violation.
 """
@@ -288,6 +289,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GraphSemanticError as exc:
         _print_error(exc)
         return 2
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 1
     except (InvalidGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,7 +77,8 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            e if type(e) is Edge else Edge(*e) for e in self.edges))
 
     @classmethod
     def checked(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -413,12 +414,14 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     edges = tuple(Edge(".".join(seq), em[seq[0]].src, em[seq[-1]].dst)
                   for seq in _walks(g, n, g.edges))
     result = Graph(g.vertices, edges)
-    check = result.validate()
-    if not check.ok:
-        # Only possible when original edge ids contain the "." separator.
-        raise ValueError(
-            "power graph edge ids collide; avoid '.' in edge ids: "
-            + "; ".join(i.message for i in check.issues))
+    # Endpoints are declared by construction, and joined ids can only
+    # collide when some edge id contains the "." separator.
+    if any("." in e.id for e in g.edges):
+        check = result.validate()
+        if not check.ok:
+            raise ValueError(
+                "power graph edge ids collide; avoid '.' in edge ids: "
+                + "; ".join(i.message for i in check.issues))
     return result
 
 

@@ -93,72 +93,70 @@ def parse_dsl_document(text: str) -> GraphDocument:
     """Parse DSL text, keeping declaration locations for later diagnostics.
 
     All problems in the input are collected before raising, so one failed
-    parse reports every offending line.
+    parse reports every offending line.  Lines are split with ``str.split``,
+    which agrees with ``_TOKEN`` on every code point; token columns are
+    worked out only for a line that gets a diagnostic.
     """
     diags: list[Diagnostic] = []
     vertices: list[str] = []
     vertex_lines: dict[str, int] = {}
     edges: list[Edge] = []
     edge_lines: dict[str, int] = {}
-    edge_ids: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        line = raw.split("#", 1)[0] if "#" in raw else raw
+        tokens = line.split()
         if not tokens:
             continue
-        word, col = tokens[0]
-        if word == "vertex":
-            if len(tokens) != 2:
-                diags.append(Diagnostic(
-                    "syntax", f"expected 'vertex <id>', got {len(tokens) - 1} argument(s)",
-                    line=lineno, column=col))
+        word = tokens[0]
+        if word == "edge" and len(tokens) == 4:
+            _, eid, src, dst = tokens
+            if eid not in edge_lines and src in vertex_lines and dst in vertex_lines:
+                edges.append(Edge(eid, src, dst))
+                edge_lines[eid] = lineno
                 continue
-            vid, vcol = tokens[1]
-            if vid in vertex_lines:
-                diags.append(Diagnostic(
-                    "semantic",
-                    f"duplicate vertex id {vid!r} (first declared on line {vertex_lines[vid]})",
-                    line=lineno, column=vcol))
-                continue
-            vertices.append(vid)
-            vertex_lines[vid] = lineno
-        elif word == "edge":
-            if len(tokens) != 4:
-                diags.append(Diagnostic(
-                    "syntax", f"expected 'edge <id> <src> <dst>', got {len(tokens) - 1} argument(s)",
-                    line=lineno, column=col))
-                continue
-            eid, ecol = tokens[1]
-            src, scol = tokens[2]
-            dst, dcol = tokens[3]
-            bad = False
-            if eid in edge_ids:
+            _, ecol, scol, dcol = _columns(line)
+            if eid in edge_lines:
                 diags.append(Diagnostic(
                     "semantic",
                     f"duplicate edge id {eid!r} (first declared on line {edge_lines[eid]})",
                     line=lineno, column=ecol))
-                bad = True
             if src not in vertex_lines:
                 diags.append(Diagnostic(
                     "semantic", f"undeclared vertex {src!r}", line=lineno, column=scol))
-                bad = True
             if dst not in vertex_lines:
                 diags.append(Diagnostic(
                     "semantic", f"undeclared vertex {dst!r}", line=lineno, column=dcol))
-                bad = True
-            if bad:
+        elif word == "vertex" and len(tokens) == 2:
+            vid = tokens[1]
+            if vid not in vertex_lines:
+                vertices.append(vid)
+                vertex_lines[vid] = lineno
                 continue
-            edges.append(Edge(eid, src, dst))
-            edge_ids.add(eid)
-            edge_lines[eid] = lineno
+            diags.append(Diagnostic(
+                "semantic",
+                f"duplicate vertex id {vid!r} (first declared on line {vertex_lines[vid]})",
+                line=lineno, column=_columns(line)[1]))
+        elif word == "edge":
+            diags.append(Diagnostic(
+                "syntax", f"expected 'edge <id> <src> <dst>', got {len(tokens) - 1} argument(s)",
+                line=lineno, column=_columns(line)[0]))
+        elif word == "vertex":
+            diags.append(Diagnostic(
+                "syntax", f"expected 'vertex <id>', got {len(tokens) - 1} argument(s)",
+                line=lineno, column=_columns(line)[0]))
         else:
             diags.append(Diagnostic(
-                "syntax", f"unknown directive {word!r}", line=lineno, column=col))
+                "syntax", f"unknown directive {word!r}", line=lineno, column=_columns(line)[0]))
 
     _raise(diags)
     g = Graph(tuple(vertices), tuple(edges))
     return GraphDocument(text, g, vertex_lines, edge_lines)
+
+
+def _columns(line: str) -> list[int]:
+    """1-based start columns of the tokens of a comment-free line."""
+    return [m.start() + 1 for m in _TOKEN.finditer(line)]
 
 
 def parse_dsl(text: str) -> Graph:
@@ -188,6 +186,9 @@ def parse_json(document: Union[str, dict]) -> Graph:
 
     Schema problems raise :class:`ParseError` with the offending field path;
     duplicate ids and dangling endpoints raise :class:`GraphSemanticError`.
+    A well-formed edge object is taken in one step, and the graph is checked
+    by set sizes; the per-field and per-item walks that locate a problem run
+    only when there is one.
     """
     if isinstance(document, str):
         try:
@@ -195,6 +196,8 @@ def parse_json(document: Union[str, dict]) -> Graph:
         except json.JSONDecodeError as exc:
             raise ParseError([Diagnostic(
                 "syntax", f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)]) from None
+        except RecursionError:
+            raise ParseError([_too_deep(document)]) from None
 
     diags: list[Diagnostic] = []
     if not isinstance(document, dict):
@@ -226,42 +229,68 @@ def parse_json(document: Union[str, dict]) -> Graph:
             if not isinstance(e, dict):
                 diags.append(Diagnostic("schema", "edge must be an object", path=f"edges[{i}]"))
                 continue
-            ok = True
+            # Three fields, with "id", "src" and "dst" all strings, is exactly
+            # a well-formed edge.
+            if len(e) == 3:
+                eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
+                if isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str):
+                    edges.append(Edge(eid, src, dst))
+                    continue
             for key in e:
                 if key not in ("id", "src", "dst"):
                     diags.append(Diagnostic(
                         "schema", f"unexpected field {key!r}", path=f"edges[{i}].{key}"))
-                    ok = False
             for key in ("id", "src", "dst"):
                 if key not in e:
                     diags.append(Diagnostic("schema", f"missing field {key!r}", path=f"edges[{i}]"))
-                    ok = False
                 elif not isinstance(e[key], str):
                     diags.append(Diagnostic("schema", "must be a string", path=f"edges[{i}].{key}"))
-                    ok = False
-            if ok:
-                edges.append(Edge(e["id"], e["src"], e["dst"]))
     if diags:
         _raise(diags)
 
     declared = set(vertices)
-    seen_v: set[str] = set()
-    for i, v in enumerate(vertices):
-        if v in seen_v:
-            diags.append(Diagnostic("semantic", f"duplicate vertex id {v!r}", path=f"vertices[{i}]"))
-        seen_v.add(v)
-    seen_e: set[str] = set()
-    for i, e in enumerate(edges):
-        if e.id in seen_e:
-            diags.append(Diagnostic("semantic", f"duplicate edge id {e.id!r}", path=f"edges[{i}].id"))
-        seen_e.add(e.id)
-        if e.src not in declared:
-            diags.append(Diagnostic("semantic", f"undeclared vertex {e.src!r}", path=f"edges[{i}].src"))
-        if e.dst not in declared:
-            diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
-    _raise(diags)
+    ids, srcs, dsts = zip(*edges) if edges else ((), (), ())
+    if (len(declared) < len(vertices) or len(set(ids)) < len(ids)
+            or not declared.issuperset(srcs) or not declared.issuperset(dsts)):
+        seen_v: set[str] = set()
+        for i, v in enumerate(vertices):
+            if v in seen_v:
+                diags.append(Diagnostic("semantic", f"duplicate vertex id {v!r}", path=f"vertices[{i}]"))
+            seen_v.add(v)
+        seen_e: set[str] = set()
+        for i, e in enumerate(edges):
+            if e.id in seen_e:
+                diags.append(Diagnostic("semantic", f"duplicate edge id {e.id!r}", path=f"edges[{i}].id"))
+            seen_e.add(e.id)
+            if e.src not in declared:
+                diags.append(Diagnostic("semantic", f"undeclared vertex {e.src!r}", path=f"edges[{i}].src"))
+            if e.dst not in declared:
+                diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
+        _raise(diags)
 
     return Graph(tuple(vertices), tuple(edges))
+
+
+# A string ends at its closing quote or, unterminated, where it cannot go on;
+# so a match never fails after scanning ahead, and the scan is linear.
+_NESTING = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
+
+
+def _too_deep(text: str) -> Diagnostic:
+    """Locate the first bracket at the deepest nesting level of ``text``,
+    for the RecursionError that ``json.loads`` raises without a position."""
+    depth = deepest = at = 0
+    for m in _NESTING.finditer(text):
+        c = m.group()
+        if c == "[" or c == "{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, m.start()
+        elif c == "]" or c == "}":
+            depth -= 1
+    return Diagnostic(
+        "syntax", f"invalid JSON: nested too deeply ({deepest} levels)",
+        line=text.count("\n", 0, at) + 1, column=at - text.rfind("\n", 0, at))
 
 
 def serialize_json(g: Graph) -> dict:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcstar import serialize_json
 from graphcstar.cli import main
@@ -177,6 +183,22 @@ def test_bad_json_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", str(deep))
+    assert code == 1 and out == ""
+    assert err == "error: line 1, column 100000: invalid JSON: nested too deeply (100000 levels)\n"
+
+
+def test_non_utf8_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("vertex caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/g.txt")
     assert code == 1
@@ -219,3 +241,60 @@ def test_dot_outputs(capsys):
     assert code == 0
     assert 'label="c", color=red' in out
     assert "// simplicity: not_simple" in out
+
+
+# -- Fuzzing the command line with arbitrary input files ------------------------
+
+_FUZZ_IDS = st.sampled_from(["u", "w", "e", "f", "\u00e9", "zz"])
+_dsl_text = st.lists(st.one_of(
+    st.builds("vertex {}".format, _FUZZ_IDS),
+    st.builds("edge {} {} {}".format, _FUZZ_IDS, _FUZZ_IDS, _FUZZ_IDS),
+    st.text(max_size=12),
+), max_size=10).map("\n".join)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["vertices", "edges", "id", "src", "dst", "x"]), inner, max_size=4),
+    max_leaves=12)
+_json_text = st.one_of(
+    st.builds(lambda vs, es: json.dumps({"vertices": vs, "edges": es}),
+              st.lists(_FUZZ_IDS, max_size=4),
+              st.lists(st.fixed_dictionaries(
+                  {"id": _FUZZ_IDS, "src": _FUZZ_IDS, "dst": _FUZZ_IDS}), max_size=5)),
+    _json_values.map(json.dumps))
+_deep_text = st.builds(lambda n, opener: opener * n + "]" * n,
+                       st.integers(500, 50_000), st.sampled_from(["[", '{"a":[']))
+
+
+@st.composite
+def _file_bytes(draw):
+    """DSL, JSON or deeply nested text, sometimes spoiled by bytes that are
+    not UTF-8, or raw bytes."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.binary(max_size=40))
+    raw = draw(st.one_of(_dsl_text, _json_text, _deep_text)).encode("utf-8")
+    if draw(st.booleans()):
+        return raw
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.sampled_from([b"", b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + raw[at:]
+
+
+@given(data=_file_bytes(), suffix=st.sampled_from([".txt", ".json"]))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_codes(data, suffix):
+    try:
+        data.decode("utf-8")
+        readable = True
+    except UnicodeDecodeError:
+        readable = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g{suffix}"
+        path.write_bytes(data)
+        for command in ("analyze", "dot", "cycles"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])  # no exception may escape
+            assert code in (0, 1, 2, 3, 4), (command, code)
+            assert "Traceback" not in err.getvalue()
+            if not readable:
+                assert code == 1, (command, err.getvalue())

@@ -210,6 +210,17 @@ def test_power_graph_separator_collision():
     # the length-2 paths (a, b.b) and (a.b, b) would both be named "a.b.b"
     with pytest.raises(ValueError, match="collide"):
         power_graph(g, 2)
+    # (x, x.x) and (x.x, x) are both named "x.x.x"
+    rose = Graph(("v",), (("x", "v", "v"), ("x.x", "v", "v")))
+    with pytest.raises(ValueError, match="collide"):
+        power_graph(rose, 2)
+
+
+def test_power_graph_dotted_ids_without_collision():
+    g = Graph(("v", "w"), (("a.1", "v", "w"), ("b", "w", "v"), ("c.2", "w", "w")))
+    p2 = power_graph(g, 2)
+    assert [e.id for e in p2.edges] == ["a.1.b", "a.1.c.2", "b.a.1", "c.2.b", "c.2.c.2"]
+    assert p2.validate().ok
 
 
 def test_simple_cycles_examples():
