@@ -4,8 +4,9 @@ Subcommands: analyze, power, cycles, ideals, witness, classify, dot.  Input
 files ending in ``.json`` are read in the JSON form, everything else as the
 line DSL.
 
-Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply
-included), or an input file that is missing or not UTF-8; 2 semantic graph error;
+Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
+holding an integer of more than 4,300 digits included), or an input file that
+is missing or not UTF-8; 2 semantic graph error;
 3 a bound or cap was exhausted (including an unsuccessful witness search);
 4 internal invariant violation.
 """

@@ -48,6 +48,9 @@ class ValidationResult:
         return not self.issues
 
 
+_VALID = ValidationResult(())
+
+
 class InvalidGraphError(ValueError):
     """Raised when an operation requires a graph whose invariants fail."""
 
@@ -404,24 +407,78 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     Edges appear in lexicographic path order.  ``power_graph(g, 1)`` equals
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges.
+
+    Cost: the cap check takes O(V^3 log n); then O(min(n, V) E) to find the
+    vertices that start a path of each length, and O(output characters
+    * log n) to build the ids.  Each path is split into its first edge, a
+    left half and a right half of about (n-1)/2 edges; the halves are joined
+    from memoised tables of shorter suffixes, and a table holds only the
+    subpaths that extend to some length-n path, so dead ends are never
+    built and, on branching graphs, no table holds much more than the
+    square root of the output.
     """
     g.require_valid()
     if n < 1:
         raise ValueError("power must be at least 1")
     if _count_paths_saturating(g, n, cap + 1) > cap:
         raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
-    em = g.edge_map
-    edges = tuple(Edge(".".join(seq), em[seq[0]].src, em[seq[-1]].dst)
-                  for seq in _walks(g, n, g.edges))
+    # alive[r]: the vertices with an outgoing path of length r.  Each set is
+    # contained in the one before, and once two consecutive sets are equal
+    # all later ones are too, so alive[last] stands for every r >= last.
+    alive = [frozenset(g.vertices)]
+    while len(alive) < n:
+        live = alive[-1]
+        shorter = frozenset(e.src for e in g.edges if e.dst in live)
+        if shorter == live:
+            break
+        alive.append(shorter)
+    last = len(alive) - 1
+    out = g._out
+    memo: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = {}
+
+    def tails(k: int, r: int, v: str) -> list[tuple[str, str]]:
+        """``(".e1...ek", end)`` for the length-k paths from ``v`` that end
+        in ``alive[r]``, in lexicographic order."""
+        if k == 0:
+            return [("", v)]
+        key = (k, min(r, last))
+        table = memo.setdefault(key, {})
+        found = table.get(v)
+        if found is None:
+            if k == 1:
+                live = alive[key[1]]
+                found = [("." + e.id, e.dst) for e in out[v] if e.dst in live]
+            else:
+                a = k // 2
+                found = [(s + t, end) for s, m in tails(a, r + k - a, v)
+                         for t, end in tails(k - a, r, m)]
+            table[v] = found
+        return found
+
+    a = (n - 1) // 2
+    b = n - 1 - a
+    first = alive[min(n - 1, last)]
+    new = tuple.__new__
+    edges = tuple(
+        new(Edge, (head + t, e.src, end))
+        for e in g.edges if e.dst in first
+        for s, m in tails(a, b, e.dst)
+        for head in (e.id + s,)
+        for t, end in tails(b, 0, m))
+    memo.clear()
     result = Graph(g.vertices, edges)
     # Endpoints are declared by construction, and joined ids can only
-    # collide when some edge id contains the "." separator.
+    # collide when some edge id contains the "." separator.  The verdict is
+    # kept as the result's cached validation, so later require_valid() calls
+    # (the serializers, for one) do not check the graph again.
     if any("." in e.id for e in g.edges):
-        check = result.validate()
+        check = result._validation
         if not check.ok:
             raise ValueError(
                 "power graph edge ids collide; avoid '.' in edge ids: "
                 + "; ".join(i.message for i in check.issues))
+    else:
+        vars(result)["_validation"] = _VALID
     return result
 
 
@@ -450,12 +507,28 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
     yield distinct cycles.
 
     Raises :class:`CapExceeded` when more than ``cap`` cycles exist.
+
+    Cost: for each base, a reverse search over the later vertices finds
+    those that lead back to the base, in O(V+E), and the depth-first search
+    then enters only those.  So no branch is walked that cannot close a
+    cycle, and a long cycle C_n costs O(n), not O(n^2).  Memory is O(V+E)
+    beyond the result.
     """
     g.require_valid()
     pos = g.vertex_pos
     out = g._out
+    inc = g._in
     result: list[Path] = []
     for base_pos, base in enumerate(g.vertices):
+        # The later vertices that reach the base through later vertices.
+        back: set[str] = set()
+        todo = [base]
+        while todo:
+            for e in inc[todo.pop()]:
+                u = e.src
+                if u not in back and pos[u] > base_pos:
+                    back.add(u)
+                    todo.append(u)
         # Depth-first search with an explicit stack: one out-edge iterator
         # per vertex on the trail, so cycle length is not bound by the
         # recursion limit.
@@ -472,7 +545,7 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
                     trail.pop()
                     if len(result) > cap:
                         raise CapExceeded(f"cycle enumeration exceeds cap {cap}")
-                elif pos[w] > base_pos and w not in on_trail:
+                elif w in back and w not in on_trail:
                     trail.append(e.id)
                     reached.append(w)
                     on_trail.add(w)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -198,6 +199,8 @@ def parse_json(document: Union[str, dict]) -> Graph:
                 "syntax", f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)]) from None
         except RecursionError:
             raise ParseError([_too_deep(document)]) from None
+        except ValueError:  # an integer over the int/str conversion limit
+            raise ParseError([_too_long(document)]) from None
 
     diags: list[Diagnostic] = []
     if not isinstance(document, dict):
@@ -288,9 +291,32 @@ def _too_deep(text: str) -> Diagnostic:
                 deepest, at = depth, m.start()
         elif c == "]" or c == "}":
             depth -= 1
+    line, column = _position(text, at)
     return Diagnostic(
-        "syntax", f"invalid JSON: nested too deeply ({deepest} levels)",
-        line=text.count("\n", 0, at) + 1, column=at - text.rfind("\n", 0, at))
+        "syntax", f"invalid JSON: nested too deeply ({deepest} levels)", line=line, column=column)
+
+
+_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"?|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def _too_long(text: str) -> Diagnostic:
+    """Locate the first integer literal of ``text`` with more digits than
+    ``int`` converts, for the ValueError that ``json.loads`` raises without
+    a position."""
+    limit = sys.get_int_max_str_digits()
+    for m in _NUMBER.finditer(text):
+        digits = m.group().lstrip("-")
+        if len(digits) > limit and digits.isdigit():
+            line, column = _position(text, m.start())
+            return Diagnostic(
+                "syntax", f"invalid JSON: integer of {len(digits)} digits exceeds the limit of {limit}",
+                line=line, column=column)
+    return Diagnostic("syntax", "invalid JSON: integer too long", path="$")
+
+
+def _position(text: str, at: int) -> tuple[int, int]:
+    """1-based line and column of offset ``at`` in ``text``."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def serialize_json(g: Graph) -> dict:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcstar import serialize_json
+from graphcstar import Graph, serialize_json
 from graphcstar.cli import main
 
 from conftest import cycle_graph, fixture_path
@@ -87,6 +87,31 @@ def test_power_cap_on_huge_count_exits_3(capsys):
     code, out, err = run(capsys, "power", G_ROSE2, "-n", "100000", "--cap-paths", "10")
     assert code == 3 and out == ""
     assert "power graph too large: more than 10 edges exceeds cap 10" in err
+
+
+def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch):
+    sizes = []
+    validate = Graph.validate
+
+    def counting(self):
+        sizes.append(len(self.edges))
+        return validate(self)
+
+    monkeypatch.setattr(Graph, "validate", counting)
+    for fmt in ("text", "json"):
+        sizes.clear()
+        code, out, _ = run(capsys, "power", G_EXIT, "-n", "10", "--format", fmt)
+        assert code == 0 and out
+        assert sizes == [4]  # the input only
+    # With "." in an edge id, power_graph checks the result for colliding
+    # ids once, and the serializer reuses that check.
+    dotted = tmp_path / "dotted.txt"
+    dotted.write_text("vertex v\nvertex w\nedge a.1 v w\nedge b w v\nedge c.2 w w\n")
+    for fmt in ("text", "json"):
+        sizes.clear()
+        code, out, _ = run(capsys, "power", str(dotted), "-n", "3", "--format", fmt)
+        assert code == 0 and "a.1.b.a.1" in out
+        assert sizes == [3, 8]
 
 
 def test_cycles(capsys):
@@ -199,6 +224,15 @@ def test_non_utf8_file_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_json_integer_too_long_exits_1(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"vertices": [' + "7" * 5000 + '], "edges": []}')
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and out == ""
+    assert err == ("error: line 1, column 15: invalid JSON: "
+                   "integer of 5000 digits exceeds the limit of 4300\n")
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/g.txt")
     assert code == 1
@@ -298,3 +332,19 @@ def test_cli_fuzz_exit_codes(data, suffix):
             assert "Traceback" not in err.getvalue()
             if not readable:
                 assert code == 1, (command, err.getvalue())
+
+
+@given(data=_file_bytes(), suffix=st.sampled_from([".txt", ".json"]),
+       power=st.integers(-2, 40), cap=st.integers(-1, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_flag_values(data, suffix, power, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g{suffix}"
+        path.write_bytes(data)
+        for argv in (["power", str(path), "-n", str(power), "--cap-paths", str(cap)],
+                     ["cycles", str(path), "--cap-paths", str(cap)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)  # no exception may escape
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+            assert "Traceback" not in err.getvalue()

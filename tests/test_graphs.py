@@ -1,10 +1,14 @@
+import contextlib
 import random
+import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from graphcstar import (
     CapExceeded,
+    Edge,
     Graph,
     InvalidGraphError,
     Path,
@@ -223,6 +227,89 @@ def test_power_graph_dotted_ids_without_collision():
     assert p2.validate().ok
 
 
+def _power_reference(g: Graph, n: int) -> Graph:
+    """The n-th power graph built eagerly from the public path listing."""
+    return Graph(g.vertices, tuple(
+        Edge(".".join(p.edges), p.source, p.range) for p in paths_of_length(g, n)))
+
+
+def _power_test_graph(rng: random.Random) -> Graph:
+    """Up to 5 vertices and 9 edges in shuffled declaration order.  In about
+    half the graphs some edge ids are "e<i>.d<j>": each "d<j>" part belongs
+    to the "e<i>" before it, so joined ids never collide."""
+    nv = rng.randint(1, 5)
+    vertices = [f"v{i}" for i in range(nv)]
+    dotted = rng.random() < 0.5
+    edges = [(f"e{i}.d{rng.randrange(3)}" if dotted and rng.random() < 0.5 else f"e{i}",
+              rng.choice(vertices), rng.choice(vertices))
+             for i in range(rng.randint(0, 9))]
+    return shuffled(Graph(tuple(vertices), tuple(edges)), rng)
+
+
+def test_power_graph_matches_eager_reference():
+    rng = random.Random(41)
+    cap = 4000
+    seen = dict.fromkeys(("sink", "source", "loop", "parallel", "dotted", "empty", "compared"), 0)
+    for _ in range(1200):
+        g = _power_test_graph(rng)
+        n = rng.randint(1, 9)
+        classes = vertex_classes(g)
+        pairs = [(e.src, e.dst) for e in g.edges]
+        seen["sink"] += bool(classes.sinks)
+        seen["source"] += bool(classes.sources)
+        seen["loop"] += any(s == d for s, d in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["dotted"] += any("." in e.id for e in g.edges)
+        if count_paths(g, n) > cap:
+            with pytest.raises(CapExceeded):
+                power_graph(g, n, cap=cap)
+            continue
+        got = power_graph(g, n, cap=cap)
+        assert got == _power_reference(g, n), (g, n)
+        assert got.validate().ok
+        seen["empty"] += not got.edges
+        seen["compared"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_power_graph_skips_dead_ends():
+    # 12 layers of 6 vertices, each joined to every vertex of the next
+    # layer, beside a separate C_3.  The layers hold 6^12 paths of length
+    # 11 and none of length 12.  Walking them would not finish; building the
+    # halves of length 5 and 6 that lead into them, without pruning, takes
+    # tens of megabytes.
+    vertices = tuple(f"L{i}_{j}" for i in range(12) for j in range(6))
+    edges = tuple((f"d{i}_{j}_{k}", f"L{i}_{j}", f"L{i + 1}_{k}")
+                  for i in range(11) for j in range(6) for k in range(6))
+    c3 = cycle_graph(3)
+    g = Graph(vertices + c3.vertices, edges + c3.edges)
+    g.require_valid()
+    tracemalloc.start()
+    try:
+        with _time_limit(30):
+            p = power_graph(g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(e.src, e.dst) for e in p.edges] == [("v1", "v1"), ("v2", "v2"), ("v3", "v3")]
+    assert p.edges[0].id == ".".join(["e1", "e2", "e3"] * 4)
+    assert peak < 2_000_000, peak
+
+
 def test_simple_cycles_examples():
     assert [c.edges for c in simple_cycles(cycle_graph(3))] == [("e1", "e2", "e3")]
     assert [c.edges for c in simple_cycles(exit_graph())] == [("a",), ("b", "d"), ("c",)]
@@ -267,6 +354,51 @@ def test_simple_cycles_match_networkx_counts():
                 count *= multiplicity[a, b]
             expected += count
         assert len(simple_cycles(g)) == expected
+
+
+def test_simple_cycles_on_long_cycle():
+    assert [c.edges for c in simple_cycles(cycle_graph(10_000))] == [
+        tuple(f"e{i}" for i in range(1, 10_001))]
+
+
+def _simple_cycles_reference(g: Graph) -> list[tuple[str, ...]]:
+    """The depth-first search without the reverse-reachability pruning: it
+    enters every later vertex not on the trail."""
+    pos = g.vertex_pos
+    result = []
+    for base_pos, base in enumerate(g.vertices):
+        trail: list[str] = []
+        reached: list[str] = []
+        on_trail = {base}
+        stack = [iter(g.out_edges(base))]
+        while stack:
+            for e in stack[-1]:
+                w = e.dst
+                if w == base:
+                    result.append((*trail, e.id))
+                elif pos[w] > base_pos and w not in on_trail:
+                    trail.append(e.id)
+                    reached.append(w)
+                    on_trail.add(w)
+                    stack.append(iter(g.out_edges(w)))
+                    break
+            else:
+                stack.pop()
+                if reached:
+                    trail.pop()
+                    on_trail.discard(reached.pop())
+    return result
+
+
+def test_simple_cycles_match_unpruned_search():
+    rng = random.Random(59)
+    nonempty = 0
+    for _ in range(1200):
+        g = shuffled(random_graph(rng, max_vertices=7, max_edges=14), rng)
+        got = [c.edges for c in simple_cycles(g)]
+        assert got == _simple_cycles_reference(g), g
+        nonempty += bool(got)
+    assert nonempty > 600
 
 
 def test_simple_cycles_cap():

@@ -241,6 +241,24 @@ def test_parse_json_nested_too_deeply_is_located():
     assert (d.line, d.column) == (1, 2000)
 
 
+def test_parse_json_integer_too_long_is_located():
+    # json.loads raises a plain ValueError here, with no position
+    with pytest.raises(ParseError) as exc:
+        parse_json('{"vertices": [' + "7" * 5000 + '], "edges": []}')
+    (d,) = exc.value.diagnostics
+    assert d.kind == "syntax" and (d.line, d.column) == (1, 15)
+    assert d.message == "invalid JSON: integer of 5000 digits exceeds the limit of 4300"
+
+    # long digit runs inside strings, fractions and exponents are not integers
+    text = ('{"vertices": ["' + "1" * 5000 + '", 1.' + "2" * 5000 + ", 3e" + "4" * 5000
+            + ',\n  -' + "5" * 4301 + '], "edges": []}')
+    with pytest.raises(ParseError) as exc:
+        parse_json(text)
+    (d,) = exc.value.diagnostics
+    assert (d.line, d.column) == (2, 3)
+    assert d.message == "invalid JSON: integer of 4301 digits exceeds the limit of 4300"
+
+
 def test_graph_keeps_edges_and_wraps_tuples():
     e = Edge("b", "u", "w")
     g = Graph(("u", "w"), [e, ("c", "w", "w")])
