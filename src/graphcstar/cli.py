@@ -51,6 +51,8 @@ from .verdicts import (
 
 ENV_CAP_VERTICES = "GRAPHCSTAR_CAP_VERTICES"
 ENV_CAP_PATHS = "GRAPHCSTAR_CAP_PATHS"
+CAP_VERTICES_HELP = ("vertex cap on lattice listings (analyze, ideals, classify --format json, "
+                     "dot --annotate; env GRAPHCSTAR_CAP_VERTICES); verdicts need none")
 
 
 def _load_graph(path: str) -> Graph:
@@ -246,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("analyze", _cmd_analyze, "full structural report")
-    p.add_argument("--cap-vertices", type=int, default=None,
-                   help="lattice enumeration cap (env GRAPHCSTAR_CAP_VERTICES)")
+    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
 
     p = add("classify", _cmd_classify, "counterexample classification")
-    p.add_argument("--cap-vertices", type=int, default=None)
+    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
 
     p = add("power", _cmd_power, "emit the n-th power graph")
     p.add_argument("-n", "--power", type=int, required=True)
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ideals", _cmd_ideals, "list the subset lattice")
     p.add_argument("--kind", choices=tuple(_KIND_BY_FLAG), default="satHer")
-    p.add_argument("--cap-vertices", type=int, default=None)
+    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
 
     p = add("witness", _cmd_witness, "search for a nonreturning witness path")
     group = p.add_mutually_exclusive_group(required=True)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dot", _cmd_dot, "emit DOT")
     p.add_argument("--annotate", action="store_true",
                    help="color exitless cycles and invariant subsets from the report")
-    p.add_argument("--cap-vertices", type=int, default=None)
+    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
 
     return parser
 

@@ -208,13 +208,6 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}")
         return self._out[v]
 
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        """Edges received at ``v``, in declaration order."""
-        self.require_valid()
-        if v not in self.vertex_pos:
-            raise ValueError(f"unknown vertex {v!r}")
-        return self._in[v]
-
     def adjacency_matrix(self) -> list[list[int]]:
         """Integer matrix ``M[i][j]`` = number of edges from vertex i to vertex j.
 

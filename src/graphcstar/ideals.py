@@ -12,9 +12,10 @@ of strongly connected components that contains every component reachable
 from it, so :func:`lattice` enumerates such unions over the condensation of
 the graph: every step of the enumeration yields an element, and the cost
 grows with the size of the lattice, not with the 2^n subsets.  Listing still
-refuses graphs beyond a configurable vertex cap.  :func:`lattice_bruteforce`
-checks all 2^n subsets and is kept as the reference the tests compare
-against.
+refuses graphs beyond a configurable vertex cap; the verdicts only ask
+whether a lattice is trivial, which :func:`_trivial_flags` reads from the
+condensation at any size.  :func:`lattice_bruteforce` checks all 2^n subsets
+and is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -70,9 +71,14 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
     they have no out-edges to count down.  The map is extensive, monotone,
     and idempotent.
     """
+    return _closure(g, _check_subset(g, members))
+
+
+def _closure(g: Graph, members: Iterable[str]) -> frozenset[str]:
+    """The worklist of :func:`saturated_hereditary_closure`, unchecked."""
     outside = {v: len(g._out[v]) for v in g.vertices}
     current: set[str] = set()
-    work = list(_check_subset(g, members))
+    work = list(members)
     while work:
         v = work.pop()
         if v in current:
@@ -85,6 +91,18 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
             if not outside[u] and u not in current:
                 work.append(u)
     return frozenset(current)
+
+
+def _trivial_flags(g: Graph) -> tuple[bool, bool]:
+    """Whether the hereditary and the saturated hereditary lattices are
+    trivial, in O(V+E).  Every nonempty hereditary set holds a terminal
+    component, and ``g._components[0]`` is one, so the first lattice is
+    trivial iff there is at most one component, and the second iff the
+    closure of that component is V (it misses any other terminal one)."""
+    components = g._components
+    if len(components) <= 1:
+        return True, True
+    return False, len(_closure(g, components[0])) == len(g.vertices)
 
 
 @dataclass(frozen=True)
@@ -119,7 +137,7 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
     ascending bitmask order, as from :func:`lattice_bruteforce`.
 
     Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices;
-    no partial lattice is returned.
+    no partial lattice is returned.  Only listings are capped; no verdict lists.
     """
     _check_lattice_args(g, kind, cap)
     pos = g.vertex_pos

@@ -2,7 +2,8 @@
 
 The verdict layer combines the structural conditions into the statements the
 package exists to decide: a finite graph algebra is simple exactly when
-Condition (L) holds and the saturated hereditary lattice is trivial.  When
+Condition (L) holds and the saturated hereditary lattice is trivial, which
+is read from the condensation at any size without listing the lattice.  When
 the graph has no sources and no sinks the correspondence is full with
 injective left action over a unital algebra, and an independent dichotomy
 applies: simple iff nonperiodic with trivial hereditary lattice.  The two
@@ -14,11 +15,12 @@ soundness bug rather than bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
-from .graphs import Graph, Path, VertexClasses, vertex_classes
-from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _saturated_part, lattice
+from .graphs import Graph, Path, vertex_classes
+from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _saturated_part, _trivial_flags, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -76,7 +78,8 @@ class SchweizerStatus(NamedTuple):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Full verdict record for one graph."""
+    """Full verdict record for one graph; its lattices are listed, under
+    ``cap``, only when first read."""
 
     graph: Graph
     flags: ReportFlags
@@ -88,19 +91,25 @@ class AnalysisReport:
     citations: tuple[str, ...]
     minimal_period: Optional[int]
     violating_cycle: Optional[Path]
-    hereditary_lattice: SubsetLattice
-    saturated_hereditary_lattice: SubsetLattice
+    cap: int
+
+    @cached_property
+    def hereditary_lattice(self) -> SubsetLattice:
+        return lattice(self.graph, "hereditary", cap=self.cap)
+
+    @cached_property
+    def saturated_hereditary_lattice(self) -> SubsetLattice:
+        return _saturated_part(self.hereditary_lattice)
 
 
-def simplicity_verdict(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[str, tuple[str, ...]]:
+def simplicity_verdict(g: Graph) -> tuple[str, tuple[str, ...]]:
     """Decide simplicity: Condition (L) plus trivial saturated hereditary
     lattice.  Returns the verdict and the citation tags used; the Condition
     (S) route is cited as well whenever it independently applies."""
     g.require_valid()
     cl = condition_L(g)
-    sat_her = lattice(g, "saturated_hereditary", cap=cap)
     cs = _condition_S(bool(vertex_classes(g).sinks), cl)
-    return _simplicity(cl, cs, sat_her.is_trivial())
+    return _simplicity(cl, cs, _trivial_flags(g)[1])
 
 
 def _simplicity(cl: ConditionL, cs: ConditionS, trivial: bool) -> tuple[str, tuple[str, ...]]:
@@ -113,7 +122,7 @@ def _simplicity(cl: ConditionL, cs: ConditionS, trivial: bool) -> tuple[str, tup
     return verdict, tuple(tags)
 
 
-def schweizer_check(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[SchweizerStatus, Optional[str]]:
+def schweizer_check(g: Graph) -> tuple[SchweizerStatus, Optional[str]]:
     """Check the hypotheses of the nonperiodicity dichotomy and, when they
     hold, its prediction.
 
@@ -123,33 +132,8 @@ def schweizer_check(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[Schweizer
     lattice) must match :func:`simplicity_verdict`; a mismatch raises
     :class:`InternalInvariantError`.
     """
-    g.require_valid()
-    status = _schweizer_status(vertex_classes(g))
-    if not status.holds:
-        return status, None
-    her = lattice(g, "hereditary", cap=cap)
-    cl = condition_L(g)
-    # The hypotheses include "no sinks".
-    actual, _ = _simplicity(cl, _condition_S(False, cl), _saturated_part(her).is_trivial())
-    return status, _schweizer_prediction(not periodicity(g).periodic, her.is_trivial(), actual)
-
-
-def _schweizer_status(classes: VertexClasses) -> SchweizerStatus:
-    failed = []
-    if classes.sources:
-        failed.append("has_sources")
-    if classes.sinks:
-        failed.append("has_sinks")
-    return SchweizerStatus(not failed, tuple(failed))
-
-
-def _schweizer_prediction(nonperiodic: bool, trivial_hereditary: bool, actual: str) -> str:
-    predicted = SIMPLE if nonperiodic and trivial_hereditary else NOT_SIMPLE
-    if predicted != actual:
-        raise InternalInvariantError(
-            f"dichotomy predicts {predicted} but the simplicity criterion "
-            f"gives {actual}")
-    return predicted
+    r = classify(g)
+    return r.schweizer, r.schweizer_predicted
 
 
 def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
@@ -163,7 +147,8 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     of cycles).
 
     Each fact is derived once and shared by the simplicity verdict and the
-    dichotomy check.
+    dichotomy check, in O(V+E) at any size; ``cap`` bounds only the
+    lattices the report lists when they are read.
     """
     g.require_valid()
     classes = vertex_classes(g)
@@ -172,8 +157,7 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     cl = condition_L(g)
     cs = _condition_S(not no_sinks, cl)
     per = periodicity(g)
-    her = lattice(g, "hereditary", cap=cap)
-    sat_her = _saturated_part(her)
+    trivial_her, trivial_sat = _trivial_flags(g)
 
     flags = ReportFlags(
         no_sinks=no_sinks,
@@ -185,19 +169,25 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
         condition_L=cl.holds,
         condition_S=cs.holds,
         nonperiodic=not per.periodic,
-        trivial_hereditary=her.is_trivial(),
-        trivial_saturated_hereditary=sat_her.is_trivial(),
+        trivial_hereditary=trivial_her,
+        trivial_saturated_hereditary=trivial_sat,
     )
-    verdict, tags = _simplicity(cl, cs, flags.trivial_saturated_hereditary)
-    schweizer = _schweizer_status(classes)
+    verdict, tags = _simplicity(cl, cs, trivial_sat)
+    failed = tuple(name for name, bad in (("has_sources", classes.sources),
+                                          ("has_sinks", classes.sinks)) if bad)
+    schweizer = SchweizerStatus(not failed, failed)
     predicted = None
     if schweizer.holds:
-        predicted = _schweizer_prediction(flags.nonperiodic, flags.trivial_hereditary, verdict)
+        predicted = SIMPLE if flags.nonperiodic and trivial_her else NOT_SIMPLE
+        if predicted != verdict:
+            raise InternalInvariantError(
+                f"dichotomy predicts {predicted} but the simplicity criterion "
+                f"gives {verdict}")
 
     counterexample = []
     if flags.nonperiodic and not flags.condition_L:
         counterexample.append("nonperiodic_but_not_L")
-    if flags.nonperiodic and flags.trivial_saturated_hereditary and verdict == NOT_SIMPLE:
+    if flags.nonperiodic and trivial_sat and verdict == NOT_SIMPLE:
         counterexample.append("nonperiodic_trivial_invariant_not_simple")
     if per.periodic:
         counterexample.append("periodic_disjoint_cycles")
@@ -221,8 +211,7 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
         citations=citations,
         minimal_period=per.minimal_period,
         violating_cycle=cl.violating_cycle,
-        hereditary_lattice=her,
-        saturated_hereditary_lattice=sat_her,
+        cap=cap,
     )
 
 
@@ -233,22 +222,9 @@ def _subset_sorted(g: Graph, s: frozenset[str]) -> list[str]:
 def report_to_dict(report: AnalysisReport) -> dict:
     """Deterministic plain-data form of a report, for structured output."""
     g = report.graph
-    flags = report.flags
     return {
         "graph": {"vertices": len(g.vertices), "edges": len(g.edges)},
-        "flags": {
-            "no_sinks": flags.no_sinks,
-            "no_sources": flags.no_sources,
-            "finite": flags.finite,
-            "full": flags.full,
-            "unital": flags.unital,
-            "injective_left_action": flags.injective_left_action,
-            "condition_L": flags.condition_L,
-            "condition_S": flags.condition_S,
-            "nonperiodic": flags.nonperiodic,
-            "trivial_hereditary": flags.trivial_hereditary,
-            "trivial_saturated_hereditary": flags.trivial_saturated_hereditary,
-        },
+        "flags": dict(vars(report.flags)),
         "condition_S_reason": report.condition_S_reason,
         "simplicity": report.simplicity,
         "schweizer": {

@@ -6,7 +6,9 @@ parsing each file reproduces the graph built here, so keep both in sync.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from pathlib import Path as FsPath
 
 from hypothesis import strategies as st
@@ -25,6 +27,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block after ``seconds`` (needs SIGALRM)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -244,6 +244,12 @@ def test_cap_vertices_flag_and_env(tmp_path, capsys, monkeypatch):
     big.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "ideals", str(big))
     assert code == 3 and "exceeds cap" in err
+    # the verdicts need no listing; only output that prints a lattice refuses
+    code, out, _ = run(capsys, "classify", str(big))
+    assert code == 0 and "periodic_disjoint_cycles: no" in out
+    for argv in (["analyze"], ["classify", "--format", "json"], ["dot", "--annotate"]):
+        code, out, err = run(capsys, *argv, str(big))
+        assert code == 3 and "exceeds cap" in err and out == "", argv
     code, out, _ = run(capsys, "ideals", str(big), "--cap-vertices", "17",
                        "--format", "json")
     assert code == 0 and len(json.loads(out)) == 2 ** 17

@@ -1,4 +1,3 @@
-import contextlib
 import random
 import signal
 import tracemalloc
@@ -32,6 +31,7 @@ from conftest import (
     shuffled,
     source_loop,
     theta,
+    time_limit,
     two_loops,
 )
 
@@ -272,19 +272,6 @@ def test_power_graph_matches_eager_reference():
     assert min(seen.values()) >= 100, seen
 
 
-@contextlib.contextmanager
-def _time_limit(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError(f"took more than {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_power_graph_skips_dead_ends():
     # 12 layers of 6 vertices, each joined to every vertex of the next
@@ -300,7 +287,7 @@ def test_power_graph_skips_dead_ends():
     g.require_valid()
     tracemalloc.start()
     try:
-        with _time_limit(30):
+        with time_limit(30):
             p = power_graph(g, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from graphcstar import (
     CapExceeded,
     Graph,
+    classify,
+    condition_L,
     connectivity,
     is_hereditary,
     is_saturated,
     lattice,
     lattice_bruteforce,
     saturated_hereditary_closure,
+    simplicity_verdict,
 )
 
 from conftest import (
@@ -127,12 +130,20 @@ def test_lattice_matches_bruteforce():
         else:
             g = random_graph(rng, max_vertices=8, max_edges=rng.choice((6, 12, 20)))
         g = shuffled(g, rng)
+        trivial = {}
         for kind in ("hereditary", "saturated_hereditary"):
             fast = lattice(g, kind)
             brute = lattice_bruteforce(g, kind)
             assert fast.kind == brute.kind == kind
             assert fast.elements == brute.elements, (g, kind)
+            trivial[kind] = brute.is_trivial()
         nontrivial += len(fast) > 2
+        # the verdicts read both flags from the condensation, never listing
+        flags = classify(g).flags
+        assert flags.trivial_hereditary == trivial["hereditary"], g
+        assert flags.trivial_saturated_hereditary == trivial["saturated_hereditary"], g
+        simple = condition_L(g).holds and trivial["saturated_hereditary"]
+        assert simplicity_verdict(g)[0] == ("simple" if simple else "not_simple"), g
     assert nontrivial > 500  # beyond the trivial {}, V case
 
 

@@ -1,10 +1,12 @@
 import json
 import random
+import signal
 
 import pytest
 
 from graphcstar import (
     CITATIONS,
+    CapExceeded,
     Graph,
     classify,
     condition_L,
@@ -20,12 +22,14 @@ from graphcstar.cli import main
 from graphcstar.conditions import PeriodicityVerdict
 
 from conftest import (
+    chain_graph,
     cycle_graph,
     exit_graph,
     fixture_path,
     lcm_graph,
     random_no_sink_no_source,
     source_loop,
+    time_limit,
     two_loops,
 )
 
@@ -36,6 +40,8 @@ def test_simplicity_simple_case():
     assert "simplicity-criterion" in tags
     # Condition (S) holds here, so the second route is cited too
     assert "condition-s-simplicity" in tags
+    # no vertices: both lattices hold only the empty set, and (L) is vacuous
+    assert simplicity_verdict(Graph((), ()))[0] == "simple"
 
 
 def test_simplicity_not_simple_cases():
@@ -162,3 +168,21 @@ def test_report_to_dict_is_deterministic():
     assert d["flags"]["trivial_saturated_hereditary"] is True
     assert d["violating_cycle"] == ["c"]
     assert d["saturated_hereditary_lattice"] == [[], ["u", "w"]]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_verdicts_beyond_the_lattice_cap():
+    # far over the vertex cap: the verdicts read the condensation and never
+    # list a lattice, while listing one for the report still refuses
+    cases = ((cycle_graph(20_000), "not_simple", "not_simple", True),
+             (chain_graph(20_000), "simple", None, False))
+    for g, simplicity, predicted, trivial_hereditary in cases:
+        with time_limit(20):
+            rep = classify(g)
+            assert simplicity_verdict(g)[0] == rep.simplicity == simplicity
+            status, got = schweizer_check(g)
+        assert status == rep.schweizer and got == predicted
+        assert rep.flags.trivial_hereditary == trivial_hereditary
+        assert rep.flags.trivial_saturated_hereditary
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            report_to_dict(rep)
