@@ -2,11 +2,14 @@
 
 Subcommands: analyze, power, cycles, ideals, witness, classify, dot.  Input
 files ending in ``.json`` are read in the JSON form, everything else as the
-line DSL.
+line DSL.  Each command only computes and returns its output text (witness
+also returns its exit code); :func:`main` loads the graph, maps errors to
+exit codes, and writes the text.
 
 Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
 holding an integer of more than 4,300 digits included), or an input file that
-is missing or not UTF-8; 2 semantic graph error;
+is missing or not UTF-8; 2 semantic graph error, invalid arguments, or an
+empty graph where a verdict is asked for;
 3 a bound or cap was exhausted (including an unsuccessful witness search);
 4 internal invariant violation.
 """
@@ -124,68 +127,47 @@ def render_report_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> int:
-    g = _load_graph(args.file)
+def _cmd_analyze(g: Graph, args) -> str:
     report = classify(g, cap=_vertex_cap(args))
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        sys.stdout.write(render_report_text(report))
-    return 0
+        return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return render_report_text(report)
 
 
-def _cmd_classify(args) -> int:
-    g = _load_graph(args.file)
-    report = classify(g, cap=_vertex_cap(args))
+def _cmd_classify(g: Graph, args) -> str:
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        all_flags = (
-            "nonperiodic_but_not_L",
-            "nonperiodic_trivial_invariant_not_simple",
-            "periodic_disjoint_cycles",
-        )
-        for flag in all_flags:
-            state = "yes" if flag in report.counterexample_flags else "no"
-            print(f"{flag}: {state}")
-    return 0
+        return _cmd_analyze(g, args)
+    # The text form lists no lattice, so it reads no vertex cap.
+    flags = classify(g).counterexample_flags
+    return "".join(f"{flag}: {'yes' if flag in flags else 'no'}\n" for flag in (
+        "nonperiodic_but_not_L", "nonperiodic_trivial_invariant_not_simple",
+        "periodic_disjoint_cycles"))
 
 
-def _cmd_power(args) -> int:
-    g = _load_graph(args.file)
+def _cmd_power(g: Graph, args) -> str:
     result = power_graph(g, args.power, cap=_path_cap(args, DEFAULT_POWER_CAP))
     if args.format == "json":
-        print(json.dumps(serialize_json(result), indent=2))
-    else:
-        sys.stdout.write(serialize_dsl(result))
-    return 0
+        return json.dumps(serialize_json(result), indent=2) + "\n"
+    return serialize_dsl(result)
 
 
-def _cmd_cycles(args) -> int:
-    g = _load_graph(args.file)
+def _cmd_cycles(g: Graph, args) -> str:
     cycles = simple_cycles(g, cap=_path_cap(args, DEFAULT_CYCLE_CAP))
     if args.format == "json":
-        print(json.dumps([list(c.edges) for c in cycles]))
-    else:
-        if not cycles:
-            print("no cycles")
-        for c in cycles:
-            print(f"{c.source}: {c}")
-    return 0
+        return json.dumps([list(c.edges) for c in cycles]) + "\n"
+    if not cycles:
+        return "no cycles\n"
+    return "".join(f"{c.source}: {c}\n" for c in cycles)
 
 
 _KIND_BY_FLAG = {"hereditary": "hereditary", "satHer": "saturated_hereditary"}
 
 
-def _cmd_ideals(args) -> int:
-    g = _load_graph(args.file)
+def _cmd_ideals(g: Graph, args) -> str:
     lat = lattice(g, _KIND_BY_FLAG[args.kind], cap=_vertex_cap(args))
     if args.format == "json":
-        print(json.dumps([sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements]))
-    else:
-        for s in lat.elements:
-            print(_subset_str(g, s))
-    return 0
+        return json.dumps([sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements]) + "\n"
+    return "".join(_subset_str(g, s) + "\n" for s in lat.elements)
 
 
 def _parse_weights(g: Graph, args) -> VertexWeights:
@@ -202,34 +184,24 @@ def _parse_weights(g: Graph, args) -> VertexWeights:
     return VertexWeights(g, weights)
 
 
-def _cmd_witness(args) -> int:
-    g = _load_graph(args.file)
+def _cmd_witness(g: Graph, args) -> tuple[str, int]:
     a = _parse_weights(g, args)
     req = WitnessRequest(a=a, n=args.n, epsilon=args.epsilon, max_length=args.max_length)
     found = find_witness(g, req)
     if found is None:
         if args.format == "json":
-            print(json.dumps({"found": False, "searched_max_length": args.max_length}))
-        else:
-            print(f"no witness found up to length {args.max_length} "
-                  "(existence is not ruled out)")
-        return 3
+            return json.dumps({"found": False, "searched_max_length": args.max_length}) + "\n", 3
+        return (f"no witness found up to length {args.max_length} "
+                "(existence is not ruled out)\n", 3)
     m, path = found
     if args.format == "json":
-        print(json.dumps({"found": True, "m": m, "path": list(path.edges),
-                          "source": path.source}))
-    else:
-        print(f"witness: m={m} path: {path} (source {path.source})")
-    return 0
+        return json.dumps({"found": True, "m": m, "path": list(path.edges),
+                           "source": path.source}) + "\n", 0
+    return f"witness: m={m} path: {path} (source {path.source})\n", 0
 
 
-def _cmd_dot(args) -> int:
-    g = _load_graph(args.file)
-    if args.annotate:
-        sys.stdout.write(emit_dot(classify(g, cap=_vertex_cap(args))))
-    else:
-        sys.stdout.write(emit_dot(g))
-    return 0
+def _cmd_dot(g: Graph, args) -> str:
+    return emit_dot(classify(g, cap=_vertex_cap(args)) if args.annotate else g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(_load_graph(args.file), args)
+        text, code = out if isinstance(out, tuple) else (out, 0)
+        sys.stdout.write(text)
+        return code
     except ParseError as exc:
         _print_error(exc)
         return 1

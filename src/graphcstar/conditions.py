@@ -61,34 +61,23 @@ class ConditionL(NamedTuple):
 def condition_L(g: Graph) -> ConditionL:
     """Decide whether every cycle has an exit.
 
-    A cycle without an exit passes only through vertices of out-degree one,
-    so Condition (L) fails exactly when the subgraph of out-degree-one
-    vertices contains a cycle.  On failure the witness is the exitless cycle
-    through the earliest such vertex in declaration order, walked from that
-    vertex.
+    A cycle without an exit is exactly a bare-cycle strongly connected
+    component: every member emits one edge, and for a one-vertex component
+    that edge is a loop.  So Condition (L) fails exactly when the
+    condensation holds such a component.  On failure the witness is the
+    exitless cycle through the earliest such vertex in declaration order,
+    walked from that vertex.
     """
     g.require_valid()
-    next_edge = {v: g._out[v][0] for v in g.vertices if len(g._out[v]) == 1}
-    # Walk from each vertex until the walk leaves the out-degree-one
-    # subgraph or meets a vertex seen before; meeting the current walk
-    # closes a new exitless cycle.  Each vertex is walked over once: O(V).
-    walk_of: dict[str, str] = {}
-    on_cycle: set[str] = set()
-    for start in g.vertices:
-        u = start
-        while u in next_edge and u not in walk_of:
-            walk_of[u] = start
-            u = next_edge[u].dst
-        if walk_of.get(u) == start:
-            while u not in on_cycle:
-                on_cycle.add(u)
-                u = next_edge[u].dst
-    first = next((v for v in g.vertices if v in on_cycle), None)
+    out = g._out
+    first = min((v for c in g._components
+                 if all(len(out[v]) == 1 for v in c) and out[c[0]][0].dst in c
+                 for v in c), key=g.vertex_pos.__getitem__, default=None)
     if first is None:
         return ConditionL(True, None)
-    trail = [next_edge[first]]
+    trail = [out[first][0]]
     while trail[-1].dst != first:
-        trail.append(next_edge[trail[-1].dst])
+        trail.append(out[trail[-1].dst][0])
     return ConditionL(False, Path(g, tuple(e.id for e in trail)))
 
 

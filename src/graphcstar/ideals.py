@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import CapExceeded, Graph
+from .graphs import CapExceeded, Graph, _vertex_set
 
 DEFAULT_LATTICE_CAP = 16
 
@@ -32,11 +32,7 @@ KINDS = ("hereditary", "saturated_hereditary")
 
 def _check_subset(g: Graph, members: Iterable[str]) -> frozenset[str]:
     g.require_valid()
-    s = frozenset(members)
-    for v in s:
-        if v not in g.vertex_pos:
-            raise ValueError(f"unknown vertex {v!r}")
-    return s
+    return _vertex_set(g, members)
 
 
 def is_hereditary(g: Graph, members: Iterable[str]) -> bool:

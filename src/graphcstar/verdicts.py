@@ -148,7 +148,10 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
 
     Each fact is derived once and shared by the simplicity verdict and the
     dichotomy check, in O(V+E) at any size; ``cap`` bounds only the
-    lattices the report lists when they are read.
+    lattices the report lists when they are read.  A graph with no vertices
+    raises ValueError("empty graph"), as :func:`periodicity` is defined for
+    nonempty graphs only; :func:`simplicity_verdict` needs no period and
+    calls it simple.
     """
     g.require_valid()
     classes = vertex_classes(g)

@@ -263,6 +263,21 @@ def test_cap_vertices_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GRAPHCSTAR_CAP_VERTICES", "bogus")
     code, _, err = run(capsys, "ideals", str(big))
     assert code == 2 and "must be an integer" in err
+    # only the commands that list a lattice read the vertex cap
+    for argv in (["analyze"], ["classify", "--format", "json"], ["dot", "--annotate"]):
+        code, out, err = run(capsys, *argv, str(big))
+        assert code == 2 and "must be an integer" in err and out == "", argv
+    for argv in (["dot"], ["classify"], ["cycles"], ["power", "-n", "1"]):
+        code, out, err = run(capsys, *argv, str(big))
+        assert code == 0 and out and err == "", argv
+    # and only the commands that enumerate paths read the path cap
+    monkeypatch.delenv("GRAPHCSTAR_CAP_VERTICES")
+    monkeypatch.setenv("GRAPHCSTAR_CAP_PATHS", "bogus")
+    for argv in (["power", "-n", "1"], ["cycles"]):
+        code, out, err = run(capsys, *argv, G_EXIT)
+        assert code == 2 and "must be an integer" in err and out == "", argv
+    code, out, _ = run(capsys, "analyze", G_EXIT)
+    assert code == 0 and out
 
 
 def test_cap_paths_env(capsys, monkeypatch):
@@ -271,6 +286,21 @@ def test_cap_paths_env(capsys, monkeypatch):
     assert code == 3
     code, _, _ = run(capsys, "power", G_EXIT, "-n", "12", "--cap-paths", "1000000")
     assert code == 0
+
+
+def test_empty_graph(tmp_path, capsys):
+    comment = tmp_path / "empty.txt"
+    comment.write_text("# no vertices\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "edges": []}')
+    for path in (str(comment), str(empty)):
+        # the verdicts need a period, which an empty graph does not have
+        for argv in (["analyze"], ["classify"], ["dot", "--annotate"]):
+            code, out, err = run(capsys, *argv, path)
+            assert (code, out, err) == (2, "", "error: empty graph\n"), argv
+        assert run(capsys, "ideals", path) == (0, "{}\n", "")
+        assert run(capsys, "cycles", path) == (0, "no cycles\n", "")
+        assert run(capsys, "dot", path) == (0, "digraph G {\n}\n", "")
 
 
 def test_dot_outputs(capsys):
@@ -340,15 +370,26 @@ def test_cli_fuzz_exit_codes(data, suffix):
                 assert code == 1, (command, err.getvalue())
 
 
+_weight_text = st.lists(st.one_of(_FUZZ_IDS, st.sampled_from(["=", ",", "inf", "nan", "-1"])),
+                        max_size=8).map("".join)
+
+
 @given(data=_file_bytes(), suffix=st.sampled_from([".txt", ".json"]),
-       power=st.integers(-2, 40), cap=st.integers(-1, 10_000))
+       power=st.integers(-2, 40), cap=st.integers(-1, 10_000),
+       weight_flag=st.sampled_from(["--support", "--weights"]), weights=_weight_text,
+       n=st.integers(-2, 6), extra=st.integers(-1, 6),
+       epsilon=st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "3"]))
 @settings(max_examples=150, deadline=None)
-def test_cli_fuzz_flag_values(data, suffix, power, cap):
+def test_cli_fuzz_flag_values(data, suffix, power, cap, weight_flag, weights, n, extra, epsilon):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"g{suffix}"
         path.write_bytes(data)
+        # "=" keeps values such as "-1" from reading as flags; max-length
+        # stays at most 12, so each search on the fuzzed graphs is quick
+        witness = ["witness", str(path), f"{weight_flag}={weights}", f"--n={n}",
+                   f"--max-length={n + extra}", f"--epsilon={epsilon}"]
         for argv in (["power", str(path), "-n", str(power), "--cap-paths", str(cap)],
-                     ["cycles", str(path), "--cap-paths", str(cap)]):
+                     ["cycles", str(path), "--cap-paths", str(cap)], witness):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)  # no exception may escape
