@@ -6,6 +6,12 @@ line DSL.  Each command only computes and returns its output text (witness
 also returns its exit code); :func:`main` loads the graph, maps errors to
 exit codes, and writes the text.
 
+Start-up is most of a call's time, so each subcommand imports only the code
+it runs: ``dot``, ``power`` and ``cycles`` load ``graphs`` and ``io_formats``
+(and ``json`` only for JSON input or output), while ``analyze``,
+``classify``, ``ideals``, ``witness`` and ``dot --annotate`` import the
+verdict modules they need when they run.
+
 Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
 holding an integer of more than 4,300 digits included), or an input file that
 is missing or not UTF-8; 2 semantic graph error, invalid arguments, or an
@@ -17,23 +23,20 @@ empty graph where a verdict is asked for;
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .conditions import WitnessRequest, find_witness, periodicity
-from .correspondence import VertexWeights
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     DEFAULT_POWER_CAP,
     CapExceeded,
     Graph,
+    InternalInvariantError,
     InvalidGraphError,
     power_graph,
     simple_cycles,
 )
-from .ideals import DEFAULT_LATTICE_CAP, lattice
 from .io_formats import (
     FormatError,
     GraphSemanticError,
@@ -44,13 +47,10 @@ from .io_formats import (
     serialize_dsl,
     serialize_json,
 )
-from .verdicts import (
-    CITATIONS,
-    AnalysisReport,
-    InternalInvariantError,
-    classify,
-    report_to_dict,
-)
+
+if TYPE_CHECKING:
+    from .correspondence import VertexWeights
+    from .verdicts import AnalysisReport
 
 ENV_CAP_VERTICES = "GRAPHCSTAR_CAP_VERTICES"
 ENV_CAP_PATHS = "GRAPHCSTAR_CAP_PATHS"
@@ -79,11 +79,17 @@ def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
 
 
 def _vertex_cap(args) -> int:
+    from .ideals import DEFAULT_LATTICE_CAP
     return _resolve_cap(args.cap_vertices, ENV_CAP_VERTICES, DEFAULT_LATTICE_CAP)
 
 
 def _path_cap(args, default: int) -> int:
     return _resolve_cap(args.cap_paths, ENV_CAP_PATHS, default)
+
+
+def _json_text(data, indent: Optional[int] = None) -> str:
+    import json
+    return json.dumps(data, indent=indent) + "\n"
 
 
 def _subset_str(g: Graph, s: frozenset[str]) -> str:
@@ -93,6 +99,7 @@ def _subset_str(g: Graph, s: frozenset[str]) -> str:
 
 
 def render_report_text(report: AnalysisReport) -> str:
+    from .verdicts import CITATIONS
     g = report.graph
     lines = [f"graph: {len(g.vertices)} vertices, {len(g.edges)} edges"]
     lines.append("flags:")
@@ -128,15 +135,17 @@ def render_report_text(report: AnalysisReport) -> str:
 
 
 def _cmd_analyze(g: Graph, args) -> str:
+    from .verdicts import classify, report_to_dict
     report = classify(g, cap=_vertex_cap(args))
     if args.format == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
+        return _json_text(report_to_dict(report), indent=2)
     return render_report_text(report)
 
 
 def _cmd_classify(g: Graph, args) -> str:
     if args.format == "json":
         return _cmd_analyze(g, args)
+    from .verdicts import classify
     # The text form lists no lattice, so it reads no vertex cap.
     flags = classify(g).counterexample_flags
     return "".join(f"{flag}: {'yes' if flag in flags else 'no'}\n" for flag in (
@@ -147,14 +156,14 @@ def _cmd_classify(g: Graph, args) -> str:
 def _cmd_power(g: Graph, args) -> str:
     result = power_graph(g, args.power, cap=_path_cap(args, DEFAULT_POWER_CAP))
     if args.format == "json":
-        return json.dumps(serialize_json(result), indent=2) + "\n"
+        return _json_text(serialize_json(result), indent=2)
     return serialize_dsl(result)
 
 
 def _cmd_cycles(g: Graph, args) -> str:
     cycles = simple_cycles(g, cap=_path_cap(args, DEFAULT_CYCLE_CAP))
     if args.format == "json":
-        return json.dumps([list(c.edges) for c in cycles]) + "\n"
+        return _json_text([list(c.edges) for c in cycles])
     if not cycles:
         return "no cycles\n"
     return "".join(f"{c.source}: {c}\n" for c in cycles)
@@ -164,13 +173,15 @@ _KIND_BY_FLAG = {"hereditary": "hereditary", "satHer": "saturated_hereditary"}
 
 
 def _cmd_ideals(g: Graph, args) -> str:
+    from .ideals import lattice
     lat = lattice(g, _KIND_BY_FLAG[args.kind], cap=_vertex_cap(args))
     if args.format == "json":
-        return json.dumps([sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements]) + "\n"
+        return _json_text([sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements])
     return "".join(_subset_str(g, s) + "\n" for s in lat.elements)
 
 
 def _parse_weights(g: Graph, args) -> VertexWeights:
+    from .correspondence import VertexWeights
     if args.support is not None:
         return VertexWeights.indicator(g, [v for v in args.support.split(",") if v])
     weights = {}
@@ -185,23 +196,27 @@ def _parse_weights(g: Graph, args) -> VertexWeights:
 
 
 def _cmd_witness(g: Graph, args) -> tuple[str, int]:
+    from .conditions import WitnessRequest, find_witness
     a = _parse_weights(g, args)
     req = WitnessRequest(a=a, n=args.n, epsilon=args.epsilon, max_length=args.max_length)
     found = find_witness(g, req)
     if found is None:
         if args.format == "json":
-            return json.dumps({"found": False, "searched_max_length": args.max_length}) + "\n", 3
+            return _json_text({"found": False, "searched_max_length": args.max_length}), 3
         return (f"no witness found up to length {args.max_length} "
                 "(existence is not ruled out)\n", 3)
     m, path = found
     if args.format == "json":
-        return json.dumps({"found": True, "m": m, "path": list(path.edges),
-                           "source": path.source}) + "\n", 0
+        return _json_text({"found": True, "m": m, "path": list(path.edges),
+                           "source": path.source}), 0
     return f"witness: m={m} path: {path} (source {path.source})\n", 0
 
 
 def _cmd_dot(g: Graph, args) -> str:
-    return emit_dot(classify(g, cap=_vertex_cap(args)) if args.annotate else g)
+    if not args.annotate:
+        return emit_dot(g)
+    from .verdicts import classify
+    return emit_dot(classify(g, cap=_vertex_cap(args)))
 
 
 def build_parser() -> argparse.ArgumentParser:

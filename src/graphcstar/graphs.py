@@ -14,7 +14,6 @@ equals its range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -30,6 +29,10 @@ class CapExceeded(Exception):
     """
 
 
+class InternalInvariantError(AssertionError):
+    """Two independently derived answers disagree; indicates a bug."""
+
+
 class ValidationIssue(NamedTuple):
     kind: str      # "duplicate id" or "dangling endpoint"
     offender: str  # the vertex or edge id at fault
@@ -39,8 +42,7 @@ class ValidationIssue(NamedTuple):
         return self.message
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -65,7 +67,14 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Graph:
     """A finite directed multigraph with named vertices and edges.
 
@@ -73,15 +82,31 @@ class Graph:
     invariant violation, or build through :meth:`checked` to raise on the
     first invalid input.  All other operations assume (and check) a valid
     graph.  Instances are immutable and safe to share between threads.
+    Equality and hashing use ``(vertices, edges)``.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(
-            e if type(e) is Edge else Edge(*e) for e in self.edges))
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
+        # Written past __setattr__, which refuses; the cached_property
+        # indexes are stored in the same __dict__.
+        vars(self).update(vertices=tuple(vertices), edges=tuple(
+            e if type(e) is Edge else Edge(*e) for e in edges))
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     @classmethod
     def checked(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -244,7 +269,6 @@ class Graph:
         return Path(self, ids)
 
 
-@dataclass(frozen=True)
 class Path:
     """A composable sequence of edge ids in a fixed graph.
 
@@ -253,8 +277,32 @@ class Path:
     sequence is already known to compose.
     """
 
-    graph: Graph = field(compare=False, repr=False)
-    edges: tuple[str, ...] = ()
+    __slots__ = ("graph", "edges")
+    graph: Graph
+    edges: tuple[str, ...]
+
+    def __init__(self, graph: Graph, edges: tuple[str, ...] = ()):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edges", edges)
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __reduce__(self):
+        # Slots are restored through __setattr__, which refuses; rebuild
+        # through __init__ instead (pickle, copy and deepcopy all use this).
+        return Path, (self.graph, self.edges)
+
+    def __repr__(self) -> str:
+        return f"Path(edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
 
     @property
     def length(self) -> int:
@@ -401,13 +449,13 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges.
 
-    Cost: the cap check takes O(V^3 log n); then O(min(n, V) E) to find the
-    vertices that start a path of each length, and O(output characters
-    * log n) to build the ids.  Each path is split into its first edge, a
-    left half and a right half of about (n-1)/2 edges; the halves are joined
-    from memoised tables of shorter suffixes, and a table holds only the
-    subpaths that extend to some length-n path, so dead ends are never
-    built and, on branching graphs, no table holds much more than the
+    Cost: the cap check takes O(min(n E, V^3 log n)); then O(min(n, V) E) to
+    find the vertices that start a path of each length, and O(output
+    characters * log n) to build the ids.  Each path is split into its first
+    edge, a left half and a right half of about (n-1)/2 edges; the halves
+    are joined from memoised tables of shorter suffixes, and a table holds
+    only the subpaths that extend to some length-n path, so dead ends are
+    never built and, on branching graphs, no table holds much more than the
     square root of the output.
     """
     g.require_valid()
@@ -479,9 +527,21 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: int) -> int:
     """``min(count_paths(g, n), ceiling)`` without forming larger integers.
 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
-    products, so clamping every entry after each product keeps each entry
-    equal to the clamped exact entry.
+    products, so clamping every partial count keeps it equal to the clamped
+    exact count.  Two routes, picked by input size: the per-vertex
+    recurrence c_r(v) = min(ceiling, sum of c_{r-1}(dst e) over e out of v),
+    with c_0 = 1, takes O(n E); squaring the V x V matrix takes
+    O(V^3 log n).  The recurrence runs when n E <= V^3 (floor(log2 n) + 1).
     """
+    vertices = g.vertices
+    if n * len(g.edges) <= len(vertices) ** 3 * n.bit_length():
+        pos = g.vertex_pos
+        succ = [[pos[e.dst] for e in g._out[v]] for v in vertices]
+        counts = [1] * len(vertices)
+        for _ in range(n):
+            counts = [min(ceiling, sum([counts[j] for j in s])) for s in succ]
+        return min(sum(counts), ceiling)
+
     def mul(a, b):
         return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
 

@@ -22,20 +22,19 @@ endpoints) raise :class:`GraphSemanticError`.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .graphs import Edge, Graph
-from .verdicts import AnalysisReport
+
+if TYPE_CHECKING:
+    from .verdicts import AnalysisReport
 
 _TOKEN = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     kind: str  # "syntax", "schema", or "semantic"
     message: str
     line: Optional[int] = None    # 1-based
@@ -73,8 +72,7 @@ class GraphSemanticError(FormatError):
     """Well-formed input describing an invalid graph."""
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """A parsed graph plus the source locations of its declarations."""
 
     source: str
@@ -192,6 +190,7 @@ def parse_json(document: Union[str, dict]) -> Graph:
     only when there is one.
     """
     if isinstance(document, str):
+        import json
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
@@ -334,18 +333,21 @@ def _dot_quote(name: str) -> str:
 
 
 def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
-    """Render a graph (or an analysis report) as deterministic DOT text.
+    """Render a :class:`Graph` or an :class:`AnalysisReport` (from
+    ``classify``) as deterministic DOT text.
 
-    In report mode the edges of the exitless cycle witnessing a Condition (L)
+    For a report, the edges of the exitless cycle witnessing a Condition (L)
     failure are drawn red, and vertices lying in some nontrivial proper
-    saturated hereditary subset are filled grey.
+    saturated hereditary subset are filled grey.  A report is told from a
+    graph by not being a :class:`Graph`, so rendering a graph never imports
+    the verdict modules.
     """
-    if isinstance(target, AnalysisReport):
-        g = target.graph
-        report: Optional[AnalysisReport] = target
-    else:
+    if isinstance(target, Graph):
         g = target
-        report = None
+        report: Optional[AnalysisReport] = None
+    else:
+        g = target.graph
+        report = target
     g.require_valid()
 
     cycle_edges: frozenset[str] = frozenset()

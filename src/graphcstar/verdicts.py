@@ -19,15 +19,11 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
-from .graphs import Graph, Path, vertex_classes
+from .graphs import Graph, InternalInvariantError, Path, vertex_classes
 from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _saturated_part, _trivial_flags, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
-
-
-class InternalInvariantError(AssertionError):
-    """Two independently derived answers disagree; indicates a bug."""
 
 
 # Mathematical facts the verdicts rely on, keyed by stable tags that reports

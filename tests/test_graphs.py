@@ -142,11 +142,24 @@ def test_matrix_power_matches_repeated_products():
 
 def test_saturating_count_is_clamped_exact_count():
     rng = random.Random(19)
-    for _ in range(200):
-        g = random_graph(rng, max_vertices=5, max_edges=10)
-        n = rng.randint(1, 12)
-        ceiling = rng.choice((1, 2, 5, 30, 1000))
-        assert _count_paths_saturating(g, n, ceiling) == min(count_paths(g, n), ceiling)
+    routes = {"recurrence": 0, "squaring": 0}
+    for _ in range(1200):
+        g = random_graph(rng, max_vertices=5, max_edges=rng.choice((4, 10, 20)))
+        n = rng.randint(1, 40)
+        ceiling = rng.choice((1, 2, 5, 30, 1000, 10**12))
+        # The rule _count_paths_saturating uses to pick its route.
+        cheap = n * len(g.edges) <= len(g.vertices) ** 3 * n.bit_length()
+        routes["recurrence" if cheap else "squaring"] += 1
+        assert _count_paths_saturating(g, n, ceiling) == min(count_paths(g, n), ceiling), (g, n)
+    assert min(routes.values()) >= 300, routes
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_power_graph_cap_check_is_linear_on_long_cycle():
+    # Squaring the 800 x 800 adjacency matrix took about 30 s here.
+    with time_limit(10):
+        p = power_graph(cycle_graph(800), 2)
+    assert len(p.edges) == 800 and p.edges[-1] == ("e800.e1", "v800", "v2")
 
 
 def test_path_count_between_vertices_matches_matrix_entry():

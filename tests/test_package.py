@@ -1,0 +1,175 @@
+"""The package surface: which modules a CLI call loads, the public names of
+``graphcstar``, and the behaviour of the value types."""
+
+import copy
+import importlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
+import pytest
+
+import graphcstar
+from graphcstar import (
+    Diagnostic,
+    Edge,
+    Graph,
+    GraphDocument,
+    Path,
+    ValidationIssue,
+    ValidationResult,
+    parse_dsl_document,
+)
+
+from conftest import FIXTURES_DIR, fixture_path
+
+SRC = str(FsPath(graphcstar.__file__).resolve().parents[1])
+
+# Runs the CLI as ``python -m graphcstar.cli`` does, then writes the names in
+# sys.modules to the file given as the first argument.
+_PROBE = """
+import runpy, sys
+out, sys.argv = sys.argv[1], ["graphcstar", *sys.argv[2:]]
+code = 0
+try:
+    if sys.argv[1:]:
+        runpy.run_module("graphcstar.cli", run_name="__main__", alter_sys=True)
+    else:
+        import graphcstar
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as fh:
+    fh.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+VERDICT_STACK = {f"graphcstar.{m}" for m in ("conditions", "correspondence", "ideals", "verdicts")}
+
+
+def _loaded(tmp_path, *argv) -> set[str]:
+    out = tmp_path / "modules.txt"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(out), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert bool(proc.stdout) == bool(argv)
+    return set(out.read_text().split())
+
+
+@pytest.mark.parametrize("argv", [["dot"], ["power", "-n", "2"], ["cycles"]])
+def test_graph_commands_load_no_verdict_code(tmp_path, argv):
+    loaded = _loaded(tmp_path, argv[0], str(fixture_path("g_two_loops")), *argv[1:])
+    assert {"graphcstar.graphs", "graphcstar.io_formats"} <= loaded
+    assert not loaded & (VERDICT_STACK | {"dataclasses", "json"})
+
+
+def test_dot_on_json_loads_json_but_no_verdict_code(tmp_path):
+    loaded = _loaded(tmp_path, "dot", str(FIXTURES_DIR / "g_exit.json"))
+    assert "json" in loaded
+    assert not loaded & (VERDICT_STACK | {"dataclasses"})
+
+
+def test_import_loads_no_submodule_and_analyze_loads_all(tmp_path):
+    assert not {m for m in _loaded(tmp_path) if m.startswith("graphcstar.")}
+    assert VERDICT_STACK <= _loaded(tmp_path, "analyze", str(fixture_path("g_two_loops")))
+
+
+# The public names by defining module, as the package has always exported
+# them; InternalInvariantError is defined in graphs and re-exported here.
+PUBLIC = {
+    "conditions": ["ConditionL", "ConditionS", "PeriodicityVerdict", "WitnessRequest",
+                   "condition_L", "condition_L_bruteforce", "condition_S", "find_witness",
+                   "is_disjoint_cycles", "is_nonreturning_set", "is_returning", "periodicity"],
+    "correspondence": ["PathVector", "VertexWeights", "inner_product", "is_nonreturning_vector",
+                       "left_action", "norm", "operator_sandwich", "sup_norm"],
+    "graphs": ["CapExceeded", "Connectivity", "Edge", "Graph", "InvalidGraphError", "Path",
+               "ValidationIssue", "ValidationResult", "VertexClasses", "connectivity",
+               "count_paths", "cycle_exits", "paths_of_length", "power_graph", "simple_cycles",
+               "vertex_classes"],
+    "ideals": ["SubsetLattice", "is_hereditary", "is_saturated", "lattice", "lattice_bruteforce",
+               "saturated_hereditary_closure"],
+    "io_formats": ["Diagnostic", "FormatError", "GraphDocument", "GraphSemanticError",
+                   "ParseError", "emit_dot", "parse_dsl", "parse_dsl_document", "parse_json",
+                   "serialize_dsl", "serialize_json"],
+    "verdicts": ["CITATIONS", "AnalysisReport", "InternalInvariantError", "ReportFlags",
+                 "SchweizerStatus", "classify", "report_to_dict", "schweizer_check",
+                 "simplicity_verdict"],
+}
+
+
+def test_public_surface():
+    names = [name for names in PUBLIC.values() for name in names]
+    assert len(names) + len(PUBLIC) == 68
+    assert graphcstar.__all__ == sorted([*names, *PUBLIC])
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"graphcstar.{module}")
+        assert getattr(graphcstar, module) is mod
+        for name in names:
+            assert getattr(graphcstar, name) is getattr(mod, name), name
+    assert set(graphcstar.__all__) <= set(dir(graphcstar))
+    namespace: dict = {}
+    exec("from graphcstar import *", namespace)
+    assert all(namespace[name] is getattr(graphcstar, name) for name in graphcstar.__all__)
+    assert graphcstar.InternalInvariantError is graphcstar.verdicts.InternalInvariantError
+    assert graphcstar.InternalInvariantError is graphcstar.graphs.InternalInvariantError
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphcstar.no_such_name
+
+
+def _value_cases():
+    """(value, an equal value built another way, an unequal value, the fields
+    equality and hashing read, a field name, the repr)."""
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    p = g.path(["e", "e"])
+    v = Graph(("u", "u"), ()).validate()
+    d = Diagnostic("syntax", "bad", line=2, column=3)
+    doc = parse_dsl_document("vertex u\nedge e u u\n")
+    return [
+        (g, Graph(vertices=["u"], edges=[("e", "u", "u")]), Graph(("u",), ()),
+         (g.vertices, g.edges), "vertices",
+         "Graph(vertices=('u',), edges=(Edge(id='e', src='u', dst='u'),))"),
+        (p, Path(graph=Graph((), ()), edges=("e", "e")), Path(g, ("e",)),
+         (p.edges,), "edges",
+         "Path(edges=('e', 'e'))"),
+        (v, ValidationResult(issues=(ValidationIssue("duplicate id", "u", "duplicate vertex id 'u'"),)),
+         ValidationResult(()),
+         (v.issues,), "issues",
+         "ValidationResult(issues=(ValidationIssue(kind='duplicate id', offender='u', "
+         "message=\"duplicate vertex id 'u'\"),))"),
+        (d, Diagnostic(kind="syntax", message="bad", line=2, column=3, path=None),
+         Diagnostic("syntax", "bad", line=2),
+         ("syntax", "bad", 2, 3, None), "kind",
+         "Diagnostic(kind='syntax', message='bad', line=2, column=3, path=None)"),
+        (doc, GraphDocument(source="vertex u\nedge e u u\n", graph=g, vertex_lines={"u": 1},
+                            edge_lines={"e": 2}),
+         GraphDocument(doc.source, doc.graph, doc.vertex_lines, {"e": 3}),
+         None, "graph",  # dict fields make it unhashable
+         "GraphDocument(source='vertex u\\nedge e u u\\n', graph=Graph(vertices=('u',), "
+         "edges=(Edge(id='e', src='u', dst='u'),)), vertex_lines={'u': 1}, edge_lines={'e': 2})"),
+    ]
+
+
+@pytest.mark.parametrize("value, same, other, fields, field, text", _value_cases(),
+                         ids=["Graph", "Path", "ValidationResult", "Diagnostic", "GraphDocument"])
+def test_value_types(value, same, other, fields, field, text):
+    assert repr(value) == text
+    assert value == same and not value != same
+    assert value != other and not value == other
+    if fields is None:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same) == hash(fields)
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == text
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value)
+        assert clone == value and repr(clone) == text
+        if isinstance(value, Path):
+            assert clone.graph == value.graph
