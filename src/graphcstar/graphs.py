@@ -649,18 +649,19 @@ def connectivity(g: Graph) -> Connectivity:
     if not g.vertices:
         raise ValueError("empty graph")
 
-    undirected: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        undirected[e.src].add(e.dst)
-        undirected[e.dst].add(e.src)
+    out, inc = g._out, g._in
     seen = {g.vertices[0]}
     stack = [g.vertices[0]]
     while stack:
         v = stack.pop()
-        for w in undirected[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for e in out[v]:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+        for e in inc[v]:
+            if e.src not in seen:
+                seen.add(e.src)
+                stack.append(e.src)
     weak = len(seen) == len(g.vertices)
 
     # One component reaches itself by a path of length at least one exactly

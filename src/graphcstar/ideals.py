@@ -11,7 +11,8 @@ Subsets are plain frozensets of vertex ids.  A hereditary subset is a union
 of strongly connected components that contains every component reachable
 from it, so :func:`lattice` enumerates such unions over the condensation of
 the graph: every step of the enumeration yields an element, and the cost
-grows with the size of the lattice, not with the 2^n subsets.  Listing still
+grows with the size of the lattice, not with the 2^n subsets; the saturated
+ones are listed in the same pass, not filtered.  Listing still
 refuses graphs beyond a configurable vertex cap; the verdicts only ask
 whether a lattice is trivial, which :func:`_trivial_flags` reads from the
 condensation at any size.  :func:`lattice_bruteforce` checks all 2^n subsets
@@ -44,17 +45,9 @@ def is_hereditary(g: Graph, members: Iterable[str]) -> bool:
 def is_saturated(g: Graph, members: Iterable[str]) -> bool:
     """Whether every non-sink vertex feeding entirely into the subset belongs
     to it."""
-    return _saturated(g, _check_subset(g, members))
-
-
-def _saturated(g: Graph, s: frozenset[str]) -> bool:
-    for v in g.vertices:
-        if v in s:
-            continue
-        out = g._out[v]
-        if out and all(e.dst in s for e in out):
-            return False
-    return True
+    s = _check_subset(g, members)
+    return not any(out and v not in s and all(e.dst in s for e in out)
+                   for v, out in g._out.items())
 
 
 def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[str]:
@@ -129,13 +122,18 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
     taken sinks first: each component joins every set found so far that
     already holds all the components its edges lead to.  Each step yields
     only lattice elements, so the work grows with the size of the lattice.
-    The saturated ones are then filtered from that list.  Elements come in
-    ascending bitmask order, as from :func:`lattice_bruteforce`.
+    Only a loopless one-vertex component with an out-edge can leave a
+    hereditary set unsaturated (every other non-sink vertex has a target a
+    hereditary set holds only together with it), so for the saturated kind
+    such a vertex joins, in place, every set holding all its targets.
+    Elements come in ascending bitmask order, as from
+    :func:`lattice_bruteforce`.
 
     Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices;
     no partial lattice is returned.  Only listings are capped; no verdict lists.
     """
     _check_lattice_args(g, kind, cap)
+    saturated = kind == "saturated_hereditary"
     pos = g.vertex_pos
     masks = [0]
     for members in g._components:
@@ -147,22 +145,17 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
                 targets |= 1 << pos[e.dst]
         # Edges leaving a component land in earlier ones, already decided.
         need = targets & ~own
-        masks += [m | own for m in masks if m & need == need]
+        if saturated and need == targets != 0:  # one vertex, no loop
+            masks = [m | own if m & need == need else m for m in masks]
+        else:
+            masks += [m | own for m in masks if m & need == need]
     masks.sort()
     vs = g.vertices
     elements = []
     for mask in masks:
         bits = bin(mask)[:1:-1]  # bit i at index i
         elements.append(frozenset(v for v, b in zip(vs, bits) if b == "1"))
-    her = SubsetLattice(g, "hereditary", tuple(elements))
-    return her if kind == "hereditary" else _saturated_part(her)
-
-
-def _saturated_part(her: SubsetLattice) -> SubsetLattice:
-    """The saturated hereditary lattice, filtered from the hereditary one."""
-    g = her.graph
-    return SubsetLattice(g, "saturated_hereditary",
-                         tuple(s for s in her.elements if _saturated(g, s)))
+    return SubsetLattice(g, kind, tuple(elements))
 
 
 def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattice:

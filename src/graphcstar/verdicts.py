@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
 from .graphs import Graph, InternalInvariantError, Path, vertex_classes
-from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _saturated_part, _trivial_flags, lattice
+from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _trivial_flags, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -95,7 +95,7 @@ class AnalysisReport:
 
     @cached_property
     def saturated_hereditary_lattice(self) -> SubsetLattice:
-        return _saturated_part(self.hereditary_lattice)
+        return lattice(self.graph, "saturated_hereditary", cap=self.cap)
 
 
 def simplicity_verdict(g: Graph) -> tuple[str, tuple[str, ...]]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphcstar import Graph, serialize_json
 from graphcstar.cli import main
 
-from conftest import cycle_graph, fixture_path
+from conftest import FIXTURES_DIR, cycle_graph, fixture_path
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
@@ -168,6 +168,16 @@ def test_witness_on_long_paths(capsys):
     assert code == 0
     assert json.loads(out) == {"found": True, "m": 61, "path": ["f"] * 60 + ["g"],
                                "source": "u"}
+
+
+def test_witness_threshold_does_not_round(tmp_path, capsys):
+    # 1e16 - 0.5 rounds to 1e16 in floats; u still clears the threshold
+    path = tmp_path / "g.txt"
+    path.write_text("vertex u\nvertex w\nedge a u u\nedge b u w\nedge c w u\n")
+    for weight in ("1e15", "1e16"):
+        code, out, _ = run(capsys, "witness", str(path), "--weights", f"u={weight}",
+                           "--epsilon", "0.5", "--max-length", "3")
+        assert (code, out) == (0, "witness: m=1 path: a (source u)\n"), weight
 
 
 def test_witness_bad_weights_exit_2(capsys):
@@ -334,6 +344,17 @@ _json_text = st.one_of(
     _json_values.map(json.dumps))
 _deep_text = st.builds(lambda n, opener: opener * n + "]" * n,
                        st.integers(500, 50_000), st.sampled_from(["[", '{"a":[']))
+
+
+GOLDEN = json.loads((FIXTURES_DIR / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_stdout_matches_golden(key, capsys, monkeypatch):
+    # key: the argv with the fixture file name in place of its path
+    monkeypatch.delenv("GRAPHCSTAR_CAP_VERTICES", raising=False)
+    command, name, *flags = key.split()
+    assert run(capsys, command, str(FIXTURES_DIR / name), *flags) == (0, GOLDEN[key], "")
 
 
 @st.composite

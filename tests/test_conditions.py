@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +37,7 @@ from conftest import (
     shuffled,
     source_loop,
     theta,
+    time_limit,
     two_loops,
 )
 
@@ -142,6 +145,15 @@ def test_periodicity_structural():
         periodicity(cycle_graph(2), method="guess")
 
 
+def disjoint_cycles(lengths) -> Graph:
+    vertices, edges = [], []
+    for c, n in enumerate(lengths):
+        names = [f"c{c}v{i}" for i in range(n)]
+        vertices += names
+        edges += [(f"c{c}e{i}", names[i], names[(i + 1) % n]) for i in range(n)]
+    return Graph(tuple(vertices), tuple(edges))
+
+
 def test_periodicity_direct_power():
     v = periodicity(lcm_graph(), method="direct-power")
     assert v.periodic and v.minimal_period == 12 and v.searched_bound == 12
@@ -151,6 +163,8 @@ def test_periodicity_direct_power():
     g = Graph(("a1", "a2", "b1", "b2"),
               (("p", "a1", "a2"), ("q", "a2", "a1"), ("r", "b1", "b2"), ("s", "b2", "b1")))
     assert periodicity(g, method="direct-power").minimal_period == 2
+    v = periodicity(disjoint_cycles((3, 4, 5, 7)), method="direct-power")
+    assert v.periodic and v.minimal_period == v.searched_bound == 420
 
 
 def test_periodicity_bound_exhaustion_is_reported():
@@ -160,10 +174,37 @@ def test_periodicity_bound_exhaustion_is_reported():
     assert periodicity(cycle_graph(3)).periodic
 
 
+def test_periodicity_direct_power_costs_edges_per_power():
+    rng = random.Random(83)
+    vertices = tuple(f"v{i}" for i in range(120))
+    g = Graph(vertices, tuple((f"e{i}", rng.choice(vertices), rng.choice(vertices))
+                              for i in range(240)))
+    with time_limit(2):  # not 240 dense 120 x 120 matrix products
+        v = periodicity(g, method="direct-power")
+    assert (v.periodic, v.minimal_period, v.searched_bound) == (False, None, 240)
+
+
 def test_periodicity_methods_agree():
     rng = random.Random(43)
-    for _ in range(150):
-        g = random_no_sink_no_source(rng)
+    graphs = [random_no_sink_no_source(rng) for _ in range(150)]
+    # 8-40 vertices: disjoint unions of cycles of lengths up to 8, and a
+    # spanning permutation plus extra edges
+    for i in range(100):
+        nv = rng.randint(8, 40)
+        if i % 2:
+            lengths = []
+            while sum(lengths) < nv:
+                lengths.append(rng.randint(1, min(8, nv - sum(lengths))))
+            g = disjoint_cycles(lengths)
+        else:
+            vertices = tuple(f"v{j}" for j in range(nv))
+            targets = rng.sample(vertices, nv)
+            extras = [(rng.choice(vertices), rng.choice(vertices))
+                      for _ in range(rng.randint(1, nv))]
+            g = Graph(vertices, tuple((f"e{j}", src, dst) for j, (src, dst)
+                                      in enumerate([*zip(vertices, targets), *extras])))
+        graphs.append(shuffled(g, rng))
+    for g in graphs:
         s = periodicity(g)
         d = periodicity(g, method="direct-power")
         assert s.periodic == d.periodic
@@ -232,6 +273,26 @@ def test_find_witness_threshold_is_strict():
     assert found is not None
     m, path = found
     assert path.source == "w" and a(path.source) > a.sup_norm - 0.401
+    # sup - epsilon rounds to sup in floats, yet the weight sup exceeds it
+    g = Graph(("u",), (("a", "u", "u"),))
+    for sup in (1.0, 2.0 ** 53, 1e300):
+        a = VertexWeights(g, {"u": sup})
+        req = WitnessRequest(a=a, n=0, epsilon=sup * 2.0 ** -60, max_length=1)
+        assert sup - req.epsilon == sup
+        assert find_witness(g, req) == (1, g.path(("a",)))
+    # weights at and next to the rounded threshold, against exact rationals;
+    # the sink s carries the sup norm and starts no path
+    g = Graph(("u", "s"), (("a", "u", "u"),))
+    rng = random.Random(89)
+    for _ in range(2000):
+        sup = rng.choice((1.0, 3.0, 1e16, 2.0 ** 53)) * rng.uniform(0.5, 2.0)
+        eps = sup * rng.choice((rng.random(), 2.0 ** -rng.randint(40, 60)))
+        t = sup - eps
+        for w in (t, math.nextafter(t, 0.0), min(sup, math.nextafter(t, math.inf))):
+            req = WitnessRequest(a=VertexWeights(g, {"u": w, "s": sup}), n=0,
+                                 epsilon=eps, max_length=1)
+            exact = Fraction(w) + Fraction(eps) > Fraction(sup)
+            assert (find_witness(g, req) is not None) == exact, (sup, eps, w)
 
 
 def test_find_witness_contract_on_sinkfree_L_fixtures():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,21 @@ def test_lattice_of_long_cycle():
     g = cycle_graph(3000)
     for kind in ("hereditary", "saturated_hereditary"):
         assert lattice(g, kind, cap=3000).elements == (frozenset(), frozenset(g.vertices))
+
+
+def test_saturated_lattice_is_listed_directly():
+    # 18 leaves into one sink: 2^18 + 1 hereditary sets, of which only the
+    # trivial two are saturated; listing them must not list the others
+    leaves = tuple(f"l{i}" for i in range(18))
+    g = Graph(leaves + ("s",), tuple((f"e{i}", v, "s") for i, v in enumerate(leaves)))
+    tracemalloc.start()
+    try:
+        lat = lattice(g, "saturated_hereditary", cap=19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.elements == (frozenset(), frozenset(g.vertices))
+    assert peak < 1 << 20
 
 
 def test_closure_on_long_chain():
