@@ -2,15 +2,18 @@
 
 Subcommands: analyze, power, cycles, ideals, witness, classify, dot.  Input
 files ending in ``.json`` are read in the JSON form, everything else as the
-line DSL.  Each command only computes and returns its output text (witness
-also returns its exit code); :func:`main` loads the graph, maps errors to
-exit codes, and writes the text.
+line DSL, both as UTF-8 with an optional byte-order mark.  Each command
+only computes and returns its output text (witness also returns its exit
+code); :func:`main` loads the graph, maps errors to exit codes, and writes
+the text.
 
 Start-up is most of a call's time, so each subcommand imports only the code
 it runs: ``dot``, ``power`` and ``cycles`` load ``graphs`` and ``io_formats``
 (and ``json`` only for JSON input or output), while ``analyze``,
 ``classify``, ``ideals``, ``witness`` and ``dot --annotate`` import the
-verdict modules they need when they run.
+verdict modules they need when they run.  Only ``witness`` loads
+``correspondence`` and ``dataclasses``; the text report is rendered from
+:func:`~graphcstar.verdicts.report_to_dict`, as the JSON one is.
 
 Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
 holding an integer of more than 4,300 digits included), or an input file that
@@ -59,7 +62,7 @@ CAP_VERTICES_HELP = ("vertex cap on lattice listings (analyze, ideals, classify 
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".json"):
         return parse_json(text)
@@ -92,45 +95,40 @@ def _json_text(data, indent: Optional[int] = None) -> str:
     return json.dumps(data, indent=indent) + "\n"
 
 
-def _subset_str(g: Graph, s: frozenset[str]) -> str:
-    if not s:
-        return "{}"
-    return "{" + " ".join(sorted(s, key=g.vertex_pos.__getitem__)) + "}"
+def _subset_str(members: list[str]) -> str:
+    return "{" + " ".join(members) + "}"
 
 
 def render_report_text(report: AnalysisReport) -> str:
-    from .verdicts import CITATIONS
-    g = report.graph
-    lines = [f"graph: {len(g.vertices)} vertices, {len(g.edges)} edges"]
-    lines.append("flags:")
-    for name, value in vars(report.flags).items():
-        lines.append(f"  {name}: {'yes' if value else 'no'}")
-    if report.flags.condition_L:
+    from .verdicts import CITATIONS, report_to_dict
+    d = report_to_dict(report)
+    flags = d["flags"]
+    lines = [f"graph: {d['graph']['vertices']} vertices, {d['graph']['edges']} edges", "flags:"]
+    lines += [f"  {name}: {'yes' if value else 'no'}" for name, value in flags.items()]
+    if flags["condition_L"]:
         lines.append("condition (L): holds")
     else:
-        lines.append(f"condition (L): fails (exitless cycle: {report.violating_cycle})")
-    if report.flags.condition_S:
+        lines.append(f"condition (L): fails (exitless cycle: {' '.join(d['violating_cycle'])})")
+    if flags["condition_S"]:
         lines.append("condition (S): holds")
     else:
-        lines.append(f"condition (S): fails ({report.condition_S_reason})")
-    if report.flags.nonperiodic:
+        lines.append(f"condition (S): fails ({d['condition_S_reason']})")
+    if flags["nonperiodic"]:
         lines.append("periodicity: nonperiodic")
     else:
-        lines.append(f"periodicity: periodic, minimal period {report.minimal_period}")
-    lines.append("hereditary lattice: "
-                 + " ".join(_subset_str(g, s) for s in report.hereditary_lattice.elements))
+        lines.append(f"periodicity: periodic, minimal period {d['minimal_period']}")
+    lines.append("hereditary lattice: " + " ".join(map(_subset_str, d["hereditary_lattice"])))
     lines.append("saturated hereditary lattice: "
-                 + " ".join(_subset_str(g, s) for s in report.saturated_hereditary_lattice.elements))
-    lines.append(f"simplicity: {report.simplicity}")
-    if report.schweizer.holds:
-        lines.append(f"schweizer hypotheses: hold; predicted {report.schweizer_predicted}")
+                 + " ".join(map(_subset_str, d["saturated_hereditary_lattice"])))
+    lines.append(f"simplicity: {d['simplicity']}")
+    schweizer = d["schweizer"]
+    if schweizer["hypotheses_hold"]:
+        lines.append(f"schweizer hypotheses: hold; predicted {schweizer['predicted']}")
     else:
-        lines.append("schweizer hypotheses: fail (" + ", ".join(report.schweizer.failed) + ")")
-    lines.append("counterexample flags: "
-                 + (", ".join(report.counterexample_flags) if report.counterexample_flags else "none"))
+        lines.append("schweizer hypotheses: fail (" + ", ".join(schweizer["failed"]) + ")")
+    lines.append("counterexample flags: " + (", ".join(d["counterexample_flags"]) or "none"))
     lines.append("citations:")
-    for tag in report.citations:
-        lines.append(f"  {tag}: {CITATIONS[tag]}")
+    lines += [f"  {tag}: {CITATIONS[tag]}" for tag in d["citations"]]
     return "\n".join(lines) + "\n"
 
 
@@ -175,9 +173,10 @@ _KIND_BY_FLAG = {"hereditary": "hereditary", "satHer": "saturated_hereditary"}
 def _cmd_ideals(g: Graph, args) -> str:
     from .ideals import lattice
     lat = lattice(g, _KIND_BY_FLAG[args.kind], cap=_vertex_cap(args))
+    subsets = [sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements]
     if args.format == "json":
-        return _json_text([sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements])
-    return "".join(_subset_str(g, s) + "\n" for s in lat.elements)
+        return _json_text(subsets)
+    return "".join(_subset_str(s) + "\n" for s in subsets)
 
 
 def _parse_weights(g: Graph, args) -> VertexWeights:
@@ -246,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge count cap (env GRAPHCSTAR_CAP_PATHS)")
 
     p = add("cycles", _cmd_cycles, "list elementary cycles")
-    p.add_argument("--cap-paths", type=int, default=None)
+    p.add_argument("--cap-paths", type=int, default=None,
+                   help="cycle count cap (env GRAPHCSTAR_CAP_PATHS)")
 
     p = add("ideals", _cmd_ideals, "list the subset lattice")
     p.add_argument("--kind", choices=tuple(_KIND_BY_FLAG), default="satHer")

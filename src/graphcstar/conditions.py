@@ -14,20 +14,22 @@ period is then the lcm of the cycle lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import fsum, isfinite, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .correspondence import VertexWeights, _same_graph
 from .graphs import (
     DEFAULT_CYCLE_CAP,
     Graph,
     Path,
+    _same_graph,
     _walks,
     cycle_exits,
     simple_cycles,
 )
+
+if TYPE_CHECKING:
+    from .correspondence import VertexWeights
 
 
 def is_returning(p: Path) -> bool:
@@ -117,8 +119,7 @@ def _condition_S(has_sinks: bool, cl: ConditionL) -> ConditionS:
     return ConditionS(True, "ok")
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(NamedTuple):
     periodic: bool
     minimal_period: Optional[int]
     method: str  # "structural" or "direct-power"
@@ -192,28 +193,27 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
     return PeriodicityVerdict(False, None, "direct-power", searched_bound=bound)
 
 
-@dataclass(frozen=True)
-class WitnessRequest:
-    """Parameters for the constructive Condition (S) witness search."""
+class WitnessRequest(NamedTuple("WitnessRequest", [
+        ("a", "VertexWeights"), ("n", int), ("epsilon", float), ("max_length", int)])):
+    """Parameters for the constructive Condition (S) witness search, checked
+    whenever one is built, unpickling included."""
 
-    a: VertexWeights
-    n: int
-    epsilon: float
-    max_length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a.is_zero():
+    def __new__(cls, a: VertexWeights, n: int, epsilon: float, max_length: int):
+        if a.is_zero():
             raise ValueError("weight function must be nonzero")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        if not isfinite(self.epsilon):
+        if not isfinite(epsilon):
             raise ValueError("epsilon must be finite")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.epsilon > self.a.sup_norm:
+        if epsilon > a.sup_norm:
             raise ValueError("epsilon must not exceed the sup norm of the weights")
-        if self.max_length <= self.n:
+        if max_length <= n:
             raise ValueError("max_length must exceed n")
+        return super().__new__(cls, a, n, epsilon, max_length)
 
 
 def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 from math import isfinite, sqrt
 from typing import Iterable, Optional
 
-from .graphs import Graph, Path
-
-
-def _same_graph(a: Graph, b: Graph) -> bool:
-    return a is b or a == b
+from .graphs import Graph, Path, _same_graph
 
 
 @dataclass

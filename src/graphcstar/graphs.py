@@ -395,6 +395,10 @@ def _walks(g: Graph, n: int, first: Iterable[Edge]) -> Iterator[tuple[str, ...]]
                 trail.pop()
 
 
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return a is b or a == b
+
+
 def _vertex_set(g: Graph, vs: Optional[Iterable[str]]) -> Optional[frozenset[str]]:
     if vs is None:
         return None

@@ -21,8 +21,7 @@ and is kept as the reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import CapExceeded, Graph, _vertex_set
 
@@ -94,10 +93,10 @@ def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     return False, len(_closure(g, components[0])) == len(g.vertices)
 
 
-@dataclass(frozen=True)
-class SubsetLattice:
+class SubsetLattice(NamedTuple):
     """All subsets of one kind, ordered by their vertex bitmask (ascending,
-    bit i = i-th declared vertex), so output order is deterministic."""
+    bit i = i-th declared vertex), so output order is deterministic.  Its
+    length is the number of elements."""
 
     graph: Graph
     kind: str

@@ -14,8 +14,6 @@ soundness bug rather than bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
@@ -52,8 +50,7 @@ CITATIONS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ReportFlags:
+class ReportFlags(NamedTuple):
     no_sinks: bool
     no_sources: bool
     finite: bool
@@ -72,10 +69,9 @@ class SchweizerStatus(NamedTuple):
     failed: tuple[str, ...]  # subset of ("has_sources", "has_sinks")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Full verdict record for one graph; its lattices are listed, under
-    ``cap``, only when first read."""
+    ``cap``, on each read."""
 
     graph: Graph
     flags: ReportFlags
@@ -89,11 +85,11 @@ class AnalysisReport:
     violating_cycle: Optional[Path]
     cap: int
 
-    @cached_property
+    @property
     def hereditary_lattice(self) -> SubsetLattice:
         return lattice(self.graph, "hereditary", cap=self.cap)
 
-    @cached_property
+    @property
     def saturated_hereditary_lattice(self) -> SubsetLattice:
         return lattice(self.graph, "saturated_hereditary", cap=self.cap)
 
@@ -223,7 +219,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     g = report.graph
     return {
         "graph": {"vertices": len(g.vertices), "edges": len(g.edges)},
-        "flags": dict(vars(report.flags)),
+        "flags": report.flags._asdict(),
         "condition_S_reason": report.condition_S_reason,
         "simplicity": report.simplicity,
         "schweizer": {

@@ -234,6 +234,27 @@ def test_non_utf8_file_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bom.txt", "vertex u\nedge a u u\n"),
+    ("bom.json", '{"vertices":["u"],"edges":[{"id":"a","src":"u","dst":"u"}]}'),
+], ids=["dsl", "json"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, name, text):
+    plain, marked = tmp_path / f"plain_{name}", tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run(capsys, "classify", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "classify", str(marked)) == expected
+
+
+@pytest.mark.parametrize("command", ["power", "cycles"])
+def test_path_caps_name_their_variable_in_help(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert "GRAPHCSTAR_CAP_PATHS" in capsys.readouterr().out
+
+
 def test_json_integer_too_long_exits_1(tmp_path, capsys):
     bad = tmp_path / "long.json"
     bad.write_text('{"vertices": [' + "7" * 5000 + '], "edges": []}')

@@ -13,13 +13,22 @@ import pytest
 
 import graphcstar
 from graphcstar import (
+    CapExceeded,
     Diagnostic,
     Edge,
     Graph,
     GraphDocument,
     Path,
+    PeriodicityVerdict,
+    ReportFlags,
+    SchweizerStatus,
+    SubsetLattice,
     ValidationIssue,
     ValidationResult,
+    VertexWeights,
+    WitnessRequest,
+    classify,
+    lattice,
     parse_dsl_document,
 )
 
@@ -45,7 +54,9 @@ with open(out, "w") as fh:
 sys.exit(code)
 """
 
-VERDICT_STACK = {f"graphcstar.{m}" for m in ("conditions", "correspondence", "ideals", "verdicts")}
+VERDICT_STACK = {f"graphcstar.{m}" for m in ("conditions", "ideals", "verdicts")}
+# Only ``witness`` builds vertex weights, the last dataclasses.
+WITNESS_STACK = {"graphcstar.correspondence", "dataclasses"}
 
 
 def _loaded(tmp_path, *argv) -> set[str]:
@@ -62,18 +73,34 @@ def _loaded(tmp_path, *argv) -> set[str]:
 def test_graph_commands_load_no_verdict_code(tmp_path, argv):
     loaded = _loaded(tmp_path, argv[0], str(fixture_path("g_two_loops")), *argv[1:])
     assert {"graphcstar.graphs", "graphcstar.io_formats"} <= loaded
-    assert not loaded & (VERDICT_STACK | {"dataclasses", "json"})
+    assert not loaded & (VERDICT_STACK | WITNESS_STACK | {"json"})
 
 
 def test_dot_on_json_loads_json_but_no_verdict_code(tmp_path):
     loaded = _loaded(tmp_path, "dot", str(FIXTURES_DIR / "g_exit.json"))
     assert "json" in loaded
-    assert not loaded & (VERDICT_STACK | {"dataclasses"})
+    assert not loaded & (VERDICT_STACK | WITNESS_STACK)
 
 
 def test_import_loads_no_submodule_and_analyze_loads_all(tmp_path):
     assert not {m for m in _loaded(tmp_path) if m.startswith("graphcstar.")}
-    assert VERDICT_STACK <= _loaded(tmp_path, "analyze", str(fixture_path("g_two_loops")))
+    loaded = _loaded(tmp_path, "analyze", str(fixture_path("g_two_loops")))
+    assert VERDICT_STACK <= loaded
+    assert not loaded & WITNESS_STACK
+
+
+@pytest.mark.parametrize("argv, needed, unneeded", [
+    (["classify"], VERDICT_STACK, WITNESS_STACK),
+    (["dot", "--annotate"], VERDICT_STACK, WITNESS_STACK),
+    (["ideals"], {"graphcstar.ideals"},
+     WITNESS_STACK | {"graphcstar.conditions", "graphcstar.verdicts"}),
+    (["witness", "--support", "u", "--epsilon", "0.5", "--max-length", "3"],
+     {"graphcstar.conditions", "graphcstar.correspondence"}, {"graphcstar.verdicts"}),
+], ids=["classify", "dot --annotate", "ideals", "witness"])
+def test_verdict_commands_load_what_they_run(tmp_path, argv, needed, unneeded):
+    loaded = _loaded(tmp_path, argv[0], str(fixture_path("g_two_loops")), *argv[1:])
+    assert needed <= loaded
+    assert not loaded & unneeded
 
 
 # The public names by defining module, as the package has always exported
@@ -126,6 +153,17 @@ def _value_cases():
     v = Graph(("u", "u"), ()).validate()
     d = Diagnostic("syntax", "bad", line=2, column=3)
     doc = parse_dsl_document("vertex u\nedge e u u\n")
+    a = VertexWeights(g, {"u": 1.0})
+    lat = lattice(g, "hereditary")
+    report = classify(g)
+    flag_values = (True,) * 6 + (False,) * 3 + (True,) * 2
+    citations = ("simplicity-criterion", "l-iff-s-no-sinks", "no-sinks-injectivity",
+                 "schweizer-simplicity", "cycle-decomposition-periodicity")
+    g_text = "Graph(vertices=('u',), edges=(Edge(id='e', src='u', dst='u'),))"
+    flags_text = ("ReportFlags(no_sinks=True, no_sources=True, finite=True, full=True, "
+                  "unital=True, injective_left_action=True, condition_L=False, "
+                  "condition_S=False, nonperiodic=False, trivial_hereditary=True, "
+                  "trivial_saturated_hereditary=True)")
     return [
         (g, Graph(vertices=["u"], edges=[("e", "u", "u")]), Graph(("u",), ()),
          (g.vertices, g.edges), "vertices",
@@ -148,11 +186,41 @@ def _value_cases():
          None, "graph",  # dict fields make it unhashable
          "GraphDocument(source='vertex u\\nedge e u u\\n', graph=Graph(vertices=('u',), "
          "edges=(Edge(id='e', src='u', dst='u'),)), vertex_lines={'u': 1}, edge_lines={'e': 2})"),
+        (PeriodicityVerdict(True, 1, "structural"),
+         PeriodicityVerdict(periodic=True, minimal_period=1, method="structural",
+                            searched_bound=None),
+         PeriodicityVerdict(True, 1, "direct-power", 1),
+         (True, 1, "structural", None), "periodic",
+         "PeriodicityVerdict(periodic=True, minimal_period=1, method='structural', "
+         "searched_bound=None)"),
+        (WitnessRequest(a, 0, 0.5, 3),
+         WitnessRequest(a=VertexWeights.indicator(g, ["u"]), n=0, epsilon=0.5, max_length=3),
+         WitnessRequest(a, 1, 0.5, 3),
+         None, "a",  # vertex weights are mutable, so unhashable
+         "WitnessRequest(a=VertexWeights(weights={'u': 1.0}), n=0, epsilon=0.5, max_length=3)"),
+        (lat, SubsetLattice(graph=Graph(["u"], [("e", "u", "u")]), kind="hereditary",
+                            elements=(frozenset(), frozenset({"u"}))),
+         lattice(g, "saturated_hereditary"),
+         (g, "hereditary", (frozenset(), frozenset({"u"}))), "kind",
+         f"SubsetLattice(graph={g_text}, kind='hereditary', "
+         "elements=(frozenset(), frozenset({'u'})))"),
+        (report.flags, ReportFlags(*flag_values), classify(Graph(("u",), ())).flags,
+         flag_values, "condition_L", flags_text),
+        (report, classify(Graph(["u"], [("e", "u", "u")])), classify(g, cap=17),
+         (g, report.flags, "not_simple", "fails_L", SchweizerStatus(True, ()), "not_simple",
+          ("periodic_disjoint_cycles",), citations, 1, Path(g, ("e",)), 16), "flags",
+         f"AnalysisReport(graph={g_text}, flags={flags_text}, simplicity='not_simple', "
+         "condition_S_reason='fails_L', schweizer=SchweizerStatus(holds=True, failed=()), "
+         "schweizer_predicted='not_simple', counterexample_flags=('periodic_disjoint_cycles',), "
+         f"citations={citations!r}, minimal_period=1, violating_cycle=Path(edges=('e',)), "
+         "cap=16)"),
     ]
 
 
 @pytest.mark.parametrize("value, same, other, fields, field, text", _value_cases(),
-                         ids=["Graph", "Path", "ValidationResult", "Diagnostic", "GraphDocument"])
+                         ids=["Graph", "Path", "ValidationResult", "Diagnostic", "GraphDocument",
+                              "PeriodicityVerdict", "WitnessRequest", "SubsetLattice",
+                              "ReportFlags", "AnalysisReport"])
 def test_value_types(value, same, other, fields, field, text):
     assert repr(value) == text
     assert value == same and not value != same
@@ -173,3 +241,21 @@ def test_value_types(value, same, other, fields, field, text):
         assert clone == value and repr(clone) == text
         if isinstance(value, Path):
             assert clone.graph == value.graph
+
+
+def test_witness_request_checks_on_unpickling():
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    unchecked = tuple.__new__(WitnessRequest, (VertexWeights(g, {"u": 1.0}), -1, 0.5, 3))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+def test_report_lists_its_lattices_on_each_read():
+    report = classify(Graph(("u", "w"), (Edge("a", "u", "w"),)))
+    first, second = report.hereditary_lattice, report.hereditary_lattice
+    assert first == second and first is not second
+    wide = classify(Graph(tuple(f"v{i}" for i in range(17)), ()))
+    assert wide.flags.nonperiodic and not wide.flags.trivial_hereditary
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="17 vertices exceeds cap 16"):
+            wide.hereditary_lattice
