@@ -22,6 +22,7 @@ from .graphs import (
     DEFAULT_CYCLE_CAP,
     Graph,
     Path,
+    _power,
     _same_graph,
     _walks,
     cycle_exits,
@@ -70,7 +71,6 @@ def condition_L(g: Graph) -> ConditionL:
     exitless cycle through the earliest such vertex in declaration order,
     walked from that vertex.
     """
-    g.require_valid()
     out = g._out
     first = min((v for c in g._components
                  if all(len(out[v]) == 1 for v in c) and out[c[0]][0].dst in c
@@ -104,7 +104,6 @@ class ConditionS(NamedTuple):
 def condition_S(g: Graph) -> ConditionS:
     """Decide Condition (S): holds iff the graph has no sinks and satisfies
     Condition (L).  Sinks are reported first."""
-    g.require_valid()
     if any(not g._out[v] for v in g.vertices):
         return ConditionS(False, "has_sinks")
     return _condition_S(False, condition_L(g))
@@ -151,7 +150,6 @@ def _cycle_lengths(g: Graph) -> list[int]:
 
 def is_disjoint_cycles(g: Graph) -> bool:
     """Whether every vertex has in-degree and out-degree exactly one."""
-    g.require_valid()
     return _unit_degrees(g)
 
 
@@ -168,11 +166,12 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
     equal to the identity, which holds exactly when every vertex has one
     length-n path and it ends at itself.  Each vertex tracks at most two
     path ends, stepped over its out-edges in O(E) per power.  The default
-    bound is the structural lcm when degrees are all one and twice the vertex
-    count otherwise.  A negative verdict from this method only rules out
-    periods up to the bound, which is reported in ``searched_bound``.
+    bound is the structural lcm when degrees are all one, where powers of
+    the successor permutation settle the search in O(V log^2 lcm), and
+    twice the vertex count otherwise.  A negative verdict from this method
+    only rules out periods up to the bound, which is reported in
+    ``searched_bound``.
     """
-    g.require_valid()
     if not g.vertices:
         raise ValueError("empty graph")
     if method == "structural":
@@ -181,8 +180,24 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
         return PeriodicityVerdict(False, None, "structural")
     if method != "direct-power":
         raise ValueError(f"unknown method {method!r}")
-    if bound is None:
-        bound = lcm(*_cycle_lengths(g)) if _unit_degrees(g) else 2 * len(g.vertices)
+    if bound is None and _unit_degrees(g):
+        # The out-edges permute the vertices; the n-th power graph is all
+        # loops iff the n-th power of the permutation, formed by O(log n)
+        # compositions, is the identity.  The least such n is the lcm L of
+        # the cycle lengths iff the L-th power is and no (L/p)-th is, p prime.
+        lengths = _cycle_lengths(g)
+        bound = lcm(*lengths)
+        succ = [g.vertex_pos[g._out[v][0].dst] for v in g.vertices]
+
+        def is_identity(k: int) -> bool:
+            return _power(succ, k, lambda a, b: [a[j] for j in b]) == list(range(len(succ)))
+
+        primes = {p for k in set(lengths) for p in range(2, k + 1)
+                  if k % p == 0 and all(p % q for q in range(2, p))}
+        if is_identity(bound) and not any(is_identity(bound // p) for p in primes):
+            return PeriodicityVerdict(True, bound, "direct-power", searched_bound=bound)
+    elif bound is None:
+        bound = 2 * len(g.vertices)
     start = {v: (v,) for v in g.vertices}
     ends = start
     for n in range(1, bound + 1):
@@ -234,13 +249,13 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     Returns the first (m, path) found, or None when the bound is exhausted
     -- which never claims nonexistence.
     """
-    g.require_valid()
+    edges = g.edges  # refuses an invalid graph before the weights' graph is compared
     if not _same_graph(g, req.a.graph):
         raise ValueError("weights live over a different graph")
     # The rounded sup - epsilon decides every weight but one equal to it,
     # which exceeds the exact value when the exact residual is negative.
     threshold = req.a.sup_norm - req.epsilon
-    first = [e for e in g.edges if (w := req.a(e.src)) > threshold or w == threshold
+    first = [e for e in edges if (w := req.a(e.src)) > threshold or w == threshold
              and fsum((req.a.sup_norm, -req.epsilon, -threshold)) < 0]
     if not first:
         return None

@@ -15,6 +15,7 @@ equals its range.
 from __future__ import annotations
 
 from functools import cached_property
+from math import inf
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_POWER_CAP = 10**6
@@ -80,33 +81,44 @@ class Graph:
 
     Construction does not validate; call :meth:`validate` to collect every
     invariant violation, or build through :meth:`checked` to raise on the
-    first invalid input.  All other operations assume (and check) a valid
-    graph.  Instances are immutable and safe to share between threads.
-    Equality and hashing use ``(vertices, edges)``.
+    first invalid input.  Reading :attr:`vertices` or :attr:`edges`, which
+    every operation does, raises :class:`InvalidGraphError` on an invalid
+    graph; an operation also given a bad argument may raise that ValueError
+    first.  Instances are immutable and safe to share between threads.
+    Equality, hashing and the repr use the unchecked ``(vertices, edges)``.
     """
-
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
         # Written past __setattr__, which refuses; the cached_property
-        # indexes are stored in the same __dict__.
-        vars(self).update(vertices=tuple(vertices), edges=tuple(
+        # fields and indexes are stored in the same __dict__.
+        vars(self).update(_vertices=tuple(vertices), _edges=tuple(
             e if type(e) is Edge else Edge(*e) for e in edges))
 
     __setattr__ = _refuse_assignment
     __delattr__ = _refuse_deletion
 
+    # Cached only once the check passes, after which a read is a plain
+    # attribute lookup; an invalid graph raises on every read.
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        self.require_valid()
+        return self._vertices
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        self.require_valid()
+        return self._edges
+
     def __repr__(self) -> str:
-        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
+        return f"Graph(vertices={self._vertices!r}, edges={self._edges!r})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self._vertices == other._vertices and self._edges == other._edges
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self._vertices, self._edges))
 
     @classmethod
     def checked(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -122,12 +134,12 @@ class Graph:
         """
         issues: list[ValidationIssue] = []
         seen_v: set[str] = set()
-        for v in self.vertices:
+        for v in self._vertices:
             if v in seen_v:
                 issues.append(ValidationIssue("duplicate id", v, f"duplicate vertex id {v!r}"))
             seen_v.add(v)
         seen_e: set[str] = set()
-        for e in self.edges:
+        for e in self._edges:
             if e.id in seen_e:
                 issues.append(ValidationIssue("duplicate id", e.id, f"duplicate edge id {e.id!r}"))
             seen_e.add(e.id)
@@ -149,7 +161,7 @@ class Graph:
         if not self._validation.ok:
             raise InvalidGraphError(self._validation)
 
-    # Index structures below assume a valid graph.
+    # Index structures below read the checked fields.
 
     @cached_property
     def vertex_pos(self) -> dict[str, int]:
@@ -228,7 +240,6 @@ class Graph:
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""
-        self.require_valid()
         if v not in self.vertex_pos:
             raise ValueError(f"unknown vertex {v!r}")
         return self._out[v]
@@ -240,7 +251,6 @@ class Graph:
         the n-th matrix power count paths of length n, which makes this the
         reference oracle for path enumeration.
         """
-        self.require_valid()
         pos = self.vertex_pos
         n = len(self.vertices)
         m = [[0] * n for _ in range(n)]
@@ -253,7 +263,6 @@ class Graph:
 
         Raises ValueError on unknown ids or non-composable consecutive edges.
         """
-        self.require_valid()
         ids = tuple(edge_ids)
         if not ids:
             raise ValueError("path needs at least one edge")
@@ -336,7 +345,6 @@ class Connectivity(NamedTuple):
 
 def vertex_classes(g: Graph) -> VertexClasses:
     """Partition information: sinks, sources, and regular (non-sink) vertices."""
-    g.require_valid()
     sinks = frozenset(v for v in g.vertices if not g._out[v])
     sources = frozenset(v for v in g.vertices if not g._in[v])
     regular = frozenset(v for v in g.vertices if g._out[v])
@@ -355,7 +363,6 @@ def paths_of_length(
     declaration order.  ``from_vertices`` filters on the path source,
     ``to_vertices`` on the path range.  An empty result is valid.
     """
-    g.require_valid()
     if n < 1:
         raise ValueError("path length must be at least 1")
     src_filter = _vertex_set(g, from_vertices)
@@ -410,12 +417,11 @@ def _vertex_set(g: Graph, vs: Optional[Iterable[str]]) -> Optional[frozenset[str
 
 
 def count_paths(g: Graph, n: int) -> int:
-    """Number of paths of length ``n``, via adjacency matrix powers (exact)."""
-    g.require_valid()
+    """Number of paths of length ``n`` (exact), by a per-vertex recurrence or
+    by adjacency matrix powers, whichever costs less at this size."""
     if n < 1:
         raise ValueError("path length must be at least 1")
-    m = matrix_power(g.adjacency_matrix(), n)
-    return sum(sum(row) for row in m)
+    return _count_paths_saturating(g, n)
 
 
 def matrix_power(m: list[list[int]], n: int) -> list[list[int]]:
@@ -426,7 +432,8 @@ def matrix_power(m: list[list[int]], n: int) -> list[list[int]]:
     return _power(m, n, matmul)
 
 
-def _power(m: list[list[int]], n: int, mul) -> list[list[int]]:
+def _power(m, n: int, mul):
+    """``m`` to the n-th power under the associative product ``mul``."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
     result = None
@@ -462,7 +469,6 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     never built and, on branching graphs, no table holds much more than the
     square root of the output.
     """
-    g.require_valid()
     if n < 1:
         raise ValueError("power must be at least 1")
     if _count_paths_saturating(g, n, cap + 1) > cap:
@@ -514,8 +520,8 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     result = Graph(g.vertices, edges)
     # Endpoints are declared by construction, and joined ids can only
     # collide when some edge id contains the "." separator.  The verdict is
-    # kept as the result's cached validation, so later require_valid() calls
-    # (the serializers, for one) do not check the graph again.
+    # kept as the result's cached validation, so reading the result (the
+    # serializers, for one) does not check the graph again.
     if any("." in e.id for e in g.edges):
         check = result._validation
         if not check.ok:
@@ -527,8 +533,9 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     return result
 
 
-def _count_paths_saturating(g: Graph, n: int, ceiling: int) -> int:
-    """``min(count_paths(g, n), ceiling)`` without forming larger integers.
+def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> int:
+    """``min(count_paths(g, n), ceiling)`` without forming larger integers;
+    the exact count when ``ceiling`` is None.
 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
     products, so clamping every partial count keeps it equal to the clamped
@@ -539,12 +546,15 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: int) -> int:
     """
     vertices = g.vertices
     if n * len(g.edges) <= len(vertices) ** 3 * n.bit_length():
+        top = inf if ceiling is None else ceiling
         pos = g.vertex_pos
         succ = [[pos[e.dst] for e in g._out[v]] for v in vertices]
         counts = [1] * len(vertices)
         for _ in range(n):
-            counts = [min(ceiling, sum([counts[j] for j in s])) for s in succ]
-        return min(sum(counts), ceiling)
+            counts = [min(top, sum([counts[j] for j in s])) for s in succ]
+        return min(sum(counts), top)
+    if ceiling is None:
+        return sum(sum(row) for row in matrix_power(g.adjacency_matrix(), n))
 
     def mul(a, b):
         return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
@@ -571,7 +581,6 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
     cycle, and a long cycle C_n costs O(n), not O(n^2).  Memory is O(V+E)
     beyond the result.
     """
-    g.require_valid()
     pos = g.vertex_pos
     out = g._out
     inc = g._in
@@ -623,7 +632,6 @@ def cycle_exits(g: Graph, cycle: Path) -> list[str]:
     ``src(f) == src(e_i)`` and ``f != e_i``.  Raises ValueError when the
     argument is not a cycle of this graph.
     """
-    g.require_valid()
     if not cycle.edges:
         raise ValueError("not a cycle: empty path")
     gp = g.path(cycle.edges)  # re-validates composability
@@ -649,7 +657,6 @@ def connectivity(g: Graph) -> Connectivity:
     directed path of length at least one from v to w.  A single vertex
     without a loop is weakly but not strongly connected.
     """
-    g.require_valid()
     if not g.vertices:
         raise ValueError("empty graph")
 

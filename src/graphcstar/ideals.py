@@ -30,21 +30,16 @@ DEFAULT_LATTICE_CAP = 16
 KINDS = ("hereditary", "saturated_hereditary")
 
 
-def _check_subset(g: Graph, members: Iterable[str]) -> frozenset[str]:
-    g.require_valid()
-    return _vertex_set(g, members)
-
-
 def is_hereditary(g: Graph, members: Iterable[str]) -> bool:
     """Whether every edge emitted in the subset is also received in it."""
-    s = _check_subset(g, members)
+    s = _vertex_set(g, members)
     return all(e.dst in s for e in g.edges if e.src in s)
 
 
 def is_saturated(g: Graph, members: Iterable[str]) -> bool:
     """Whether every non-sink vertex feeding entirely into the subset belongs
     to it."""
-    s = _check_subset(g, members)
+    s = _vertex_set(g, members)
     return not any(out and v not in s and all(e.dst in s for e in out)
                    for v, out in g._out.items())
 
@@ -59,7 +54,7 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
     they have no out-edges to count down.  The map is extensive, monotone,
     and idempotent.
     """
-    return _closure(g, _check_subset(g, members))
+    return _closure(g, _vertex_set(g, members))
 
 
 def _closure(g: Graph, members: Iterable[str]) -> frozenset[str]:
@@ -177,7 +172,6 @@ def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> S
 
 
 def _check_lattice_args(g: Graph, kind: str, cap: int) -> None:
-    g.require_valid()
     if kind not in KINDS:
         raise ValueError(f"unknown lattice kind {kind!r}")
     n = len(g.vertices)

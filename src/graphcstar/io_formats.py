@@ -171,7 +171,6 @@ def serialize_dsl(g: Graph) -> str:
     Ids containing whitespace or '#' cannot be written in this format and
     raise ValueError; use the JSON form for such graphs.
     """
-    g.require_valid()
     for name in (*g.vertices, *(e.id for e in g.edges)):
         if not _DSL_ID.match(name):
             raise ValueError(f"id {name!r} cannot be written in the DSL")
@@ -321,7 +320,6 @@ def _position(text: str, at: int) -> tuple[int, int]:
 def serialize_json(g: Graph) -> dict:
     """Plain-data JSON form; inverse of :func:`parse_json` on canonical
     documents, including key order."""
-    g.require_valid()
     return {
         "vertices": list(g.vertices),
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
@@ -348,7 +346,6 @@ def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
     else:
         g = target.graph
         report = target
-    g.require_valid()
 
     cycle_edges: frozenset[str] = frozenset()
     marked_vertices: frozenset[str] = frozenset()

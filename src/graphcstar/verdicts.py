@@ -98,7 +98,6 @@ def simplicity_verdict(g: Graph) -> tuple[str, tuple[str, ...]]:
     """Decide simplicity: Condition (L) plus trivial saturated hereditary
     lattice.  Returns the verdict and the citation tags used; the Condition
     (S) route is cited as well whenever it independently applies."""
-    g.require_valid()
     cl = condition_L(g)
     cs = _condition_S(bool(vertex_classes(g).sinks), cl)
     return _simplicity(cl, cs, _trivial_flags(g)[1])
@@ -145,7 +144,6 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     nonempty graphs only; :func:`simplicity_verdict` needs no period and
     calls it simple.
     """
-    g.require_valid()
     classes = vertex_classes(g)
     no_sinks = not classes.sinks
     no_sources = not classes.sources

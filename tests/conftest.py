@@ -7,8 +7,10 @@ parsing each file reproduces the graph built here, so keep both in sync.
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import signal
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path as FsPath
 
 from hypothesis import strategies as st
@@ -218,3 +220,39 @@ def graphs_strategy(draw, max_vertices: int = 6, max_edges: int = 10):
         (eid, draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
         for eid in edge_ids)
     return Graph(tuple(vertices), edges)
+
+
+@functools.lru_cache(maxsize=None)
+def _iso_representatives(nv: int, max_e: int):
+    """Canonical representatives of all graphs on nv labeled vertices with
+    at most max_e edges, up to vertex relabeling.
+
+    A graph is a multiset of (src, dst) slots; a representative is the
+    lexicographically least multiset in its orbit under vertex permutations.
+    Graphs with fewer than nv vertices appear as representatives with
+    isolated vertices, which never affect path behaviour.  Cached, as
+    several tests walk the same list.
+    """
+    slots = [(s, d) for s in range(nv) for d in range(nv)]
+    index = {p: i for i, p in enumerate(slots)}
+    tables = [
+        tuple(index[(pi[s], pi[d])] for (s, d) in slots)
+        for pi in permutations(range(nv))
+    ]
+    reps = []
+    for k in range(max_e + 1):
+        for combo in combinations_with_replacement(range(len(slots)), k):
+            canon = min(tuple(sorted(t[s] for s in combo)) for t in tables)
+            if canon == combo:
+                reps.append(combo)
+    return slots, tuple(reps)
+
+
+def iso_graphs(nv: int, max_e: int):
+    """The representatives of :func:`_iso_representatives` as graphs on the
+    vertices v0 .. v{nv-1}."""
+    slots, reps = _iso_representatives(nv, max_e)
+    vertices = tuple(f"v{i}" for i in range(nv))
+    for combo in reps:
+        yield Graph(vertices, tuple((f"e{i}", vertices[slots[s][0]], vertices[slots[s][1]])
+                                    for i, s in enumerate(combo)))

@@ -8,12 +8,12 @@ visible in a plain ``pytest -v`` run; ``pytest -s`` shows them inline.
 import json
 import random
 import time
-from itertools import combinations_with_replacement, permutations
 
 import conftest
 from conftest import (
     SINKFREE_L_FIXTURES,
     FIXTURE_GRAPHS,
+    _iso_representatives,
     cycle_graph,
     fixture_path,
     lcm_graph,
@@ -209,30 +209,6 @@ def test_criterion_07_schweizer_consistency():
     _report(7, "no sources/sinks: dichotomy prediction matches the verdict",
             failures, f"{samples} graphs, {simple_count} simple",
             time.perf_counter() - start, 60.0)
-
-
-def _iso_representatives(nv: int, max_e: int):
-    """Canonical representatives of all graphs on nv labeled vertices with
-    at most max_e edges, up to vertex relabeling.
-
-    A graph is a multiset of (src, dst) slots; a representative is the
-    lexicographically least multiset in its orbit under vertex permutations.
-    Graphs with fewer than nv vertices appear as representatives with
-    isolated vertices, which never affect path behaviour.
-    """
-    slots = [(s, d) for s in range(nv) for d in range(nv)]
-    index = {p: i for i, p in enumerate(slots)}
-    tables = [
-        tuple(index[(pi[s], pi[d])] for (s, d) in slots)
-        for pi in permutations(range(nv))
-    ]
-    reps = []
-    for k in range(max_e + 1):
-        for combo in combinations_with_replacement(range(len(slots)), k):
-            canon = min(tuple(sorted(t[s] for s in combo)) for t in tables)
-            if canon == combo:
-                reps.append(combo)
-    return slots, reps
 
 
 def test_criterion_08_nonreturning_paths_are_nonreturning_vectors():

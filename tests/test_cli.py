@@ -94,7 +94,7 @@ def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch)
     validate = Graph.validate
 
     def counting(self):
-        sizes.append(len(self.edges))
+        sizes.append(len(self._edges))
         return validate(self)
 
     monkeypatch.setattr(Graph, "validate", counting)

@@ -30,6 +30,7 @@ from conftest import (
     chain_graph,
     cycle_graph,
     exit_graph,
+    iso_graphs,
     lcm_graph,
     random_graph,
     random_no_sink_no_source,
@@ -111,6 +112,16 @@ def test_condition_L_agrees_with_bruteforce_shuffled():
     assert 300 < failures < 1400  # both branches exercised
 
 
+def test_condition_L_agrees_with_bruteforce_on_every_small_graph():
+    # All 3,395 graphs of at most 4 vertices and 6 edges, up to isomorphism.
+    failing = 0
+    for g in iso_graphs(4, 6):
+        fast = condition_L(g)
+        assert fast == condition_L_bruteforce(g), g
+        failing += not fast.holds
+    assert 0 < failing < 3395
+
+
 def test_condition_L_on_long_inputs():
     g = chain_graph(10_000)
     assert condition_L(g) == (True, None)
@@ -182,6 +193,24 @@ def test_periodicity_direct_power_costs_edges_per_power():
     with time_limit(2):  # not 240 dense 120 x 120 matrix products
         v = periodicity(g, method="direct-power")
     assert (v.periodic, v.minimal_period, v.searched_bound) == (False, None, 240)
+
+
+def test_periodicity_direct_power_default_bound_is_not_stepped_through():
+    # Disjoint cycles of the primes 2..23 (100 vertices) have lcm
+    # 223,092,870: one search step per power would not finish.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    with time_limit(5):
+        v = periodicity(disjoint_cycles(primes), method="direct-power")
+    assert v == (True, math.prod(primes), "direct-power", math.prod(primes))
+    # An explicit bound still searches, and reports it; the search to the
+    # lcm finds what the permutation powers do.
+    v = periodicity(disjoint_cycles((2, 3)), method="direct-power", bound=5)
+    assert v == (False, None, "direct-power", 5)
+    rng = random.Random(29)
+    for _ in range(60):
+        g = shuffled(disjoint_cycles([rng.randint(1, 6) for _ in range(rng.randint(1, 4))]), rng)
+        v = periodicity(g, method="direct-power")
+        assert v == periodicity(g, method="direct-power", bound=v.searched_bound), g
 
 
 def test_periodicity_methods_agree():

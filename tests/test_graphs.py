@@ -150,8 +150,22 @@ def test_saturating_count_is_clamped_exact_count():
         # The rule _count_paths_saturating uses to pick its route.
         cheap = n * len(g.edges) <= len(g.vertices) ** 3 * n.bit_length()
         routes["recurrence" if cheap else "squaring"] += 1
-        assert _count_paths_saturating(g, n, ceiling) == min(count_paths(g, n), ceiling), (g, n)
+        exact = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
+        assert _count_paths_saturating(g, n, ceiling) == min(exact, ceiling), (g, n)
     assert min(routes.values()) >= 300, routes
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_count_paths_takes_the_cheaper_route():
+    # Squaring the 2000 x 2000 adjacency matrix would take minutes and hold
+    # 4 * 10^6 entries; the recurrence takes O(n E).
+    with time_limit(5):
+        assert count_paths(cycle_graph(2000), 3) == 2000
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=5, max_edges=rng.choice((4, 10, 20)))
+        n = rng.randint(1, 40)
+        assert count_paths(g, n) == sum(map(sum, matrix_power(g.adjacency_matrix(), n))), (g, n)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")

@@ -23,6 +23,7 @@ from conftest import (
     chain_graph,
     cycle_graph,
     graphs_strategy,
+    iso_graphs,
     random_graph,
     random_no_sink_no_source,
     random_strongly_connected,
@@ -120,6 +121,17 @@ def test_lattice_cap():
     assert len(lattice(g, "hereditary", cap=17)) == 2 ** 17
     with pytest.raises(ValueError, match="unknown lattice kind"):
         lattice(g, "invariant")
+
+
+def test_lattice_matches_bruteforce_on_every_small_graph():
+    # All 3,395 graphs of at most 4 vertices and 6 edges, up to isomorphism.
+    sizes = set()
+    for g in iso_graphs(4, 6):
+        for kind in ("hereditary", "saturated_hereditary"):
+            fast = lattice(g, kind)
+            assert fast == lattice_bruteforce(g, kind), (g, kind)
+            sizes.add((kind, len(fast)))
+    assert {n for kind, n in sizes if kind == "saturated_hereditary"} >= {2, 3, 4, 5}
 
 
 def test_lattice_matches_bruteforce():

@@ -2,6 +2,7 @@
 ``graphcstar``, and the behaviour of the value types."""
 
 import copy
+import doctest
 import importlib
 import os
 import pickle
@@ -18,6 +19,7 @@ from graphcstar import (
     Edge,
     Graph,
     GraphDocument,
+    InvalidGraphError,
     Path,
     PeriodicityVerdict,
     ReportFlags,
@@ -243,6 +245,12 @@ def test_value_types(value, same, other, fields, field, text):
             assert clone.graph == value.graph
 
 
+def test_readme_examples_run():
+    readme = FsPath(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0 and result.attempted >= 10, result
+
+
 def test_witness_request_checks_on_unpickling():
     g = Graph(("u",), (Edge("e", "u", "u"),))
     unchecked = tuple.__new__(WitnessRequest, (VertexWeights(g, {"u": 1.0}), -1, 0.5, 3))
@@ -259,3 +267,105 @@ def test_report_lists_its_lattices_on_each_read():
     for _ in range(2):
         with pytest.raises(CapExceeded, match="17 vertices exceeds cap 16"):
             wide.hereditary_lattice
+
+
+# Three ways a Graph can be invalid.  Each names vertex "u" and edge "a",
+# so the calls below pass arguments that would be valid on a valid graph.
+INVALID_GRAPHS = {
+    "dangling endpoint": (("u",), (Edge("a", "u", "u"), Edge("b", "u", "w"))),
+    "duplicate vertex": (("u", "u"), (Edge("a", "u", "u"),)),
+    "no vertices, dangling edge": ((), (Edge("a", "u", "u"),)),
+}
+_LOOP = Graph(("u",), (("a", "u", "u"),))
+_REQUEST = WitnessRequest(VertexWeights(_LOOP, {"u": 1.0}), 0, 0.5, 2)
+
+# Every public operation that takes a Graph, with its other arguments valid.
+# find_witness cannot get weights over an invalid graph, so it gets weights
+# over a valid one and must still report the invalid graph.
+REFUSING_CALLS = {
+    "Graph.vertices": lambda g: g.vertices,
+    "Graph.edges": lambda g: g.edges,
+    "Graph.out_edges": lambda g: g.out_edges("u"),
+    "Graph.adjacency_matrix": lambda g: g.adjacency_matrix(),
+    "Graph.path": lambda g: g.path(["a"]),
+    "Path.source": lambda g: Path(g, ("a",)).source,
+    "vertex_classes": lambda g: graphcstar.vertex_classes(g),
+    "paths_of_length": lambda g: graphcstar.paths_of_length(g, 1),
+    "paths_of_length filtered": lambda g: graphcstar.paths_of_length(
+        g, 1, from_vertices=["u"], to_vertices=["u"]),
+    "count_paths": lambda g: graphcstar.count_paths(g, 2),
+    "power_graph": lambda g: graphcstar.power_graph(g, 2),
+    "simple_cycles": lambda g: graphcstar.simple_cycles(g),
+    "cycle_exits": lambda g: graphcstar.cycle_exits(g, Path(g, ("a",))),
+    "connectivity": lambda g: graphcstar.connectivity(g),
+    "condition_L": lambda g: graphcstar.condition_L(g),
+    "condition_L_bruteforce": lambda g: graphcstar.condition_L_bruteforce(g),
+    "condition_S": lambda g: graphcstar.condition_S(g),
+    "is_disjoint_cycles": lambda g: graphcstar.is_disjoint_cycles(g),
+    "periodicity": lambda g: graphcstar.periodicity(g),
+    "periodicity direct-power": lambda g: graphcstar.periodicity(g, method="direct-power"),
+    "periodicity bounded": lambda g: graphcstar.periodicity(g, method="direct-power", bound=3),
+    "find_witness": lambda g: graphcstar.find_witness(g, _REQUEST),
+    "VertexWeights": lambda g: VertexWeights(g, {"u": 1.0}),
+    "VertexWeights.indicator": lambda g: VertexWeights.indicator(g, ["u"]),
+    "PathVector": lambda g: graphcstar.PathVector(g, 1, {}),
+    "PathVector.delta": lambda g: graphcstar.PathVector.delta(Path(g, ("a",))),
+    "is_hereditary": lambda g: graphcstar.is_hereditary(g, ["u"]),
+    "is_hereditary of nothing": lambda g: graphcstar.is_hereditary(g, []),
+    "is_saturated": lambda g: graphcstar.is_saturated(g, ["u"]),
+    "saturated_hereditary_closure": lambda g: graphcstar.saturated_hereditary_closure(g, ["u"]),
+    "lattice": lambda g: lattice(g, "hereditary"),
+    "lattice saturated": lambda g: lattice(g, "saturated_hereditary"),
+    "lattice_bruteforce": lambda g: graphcstar.lattice_bruteforce(g, "hereditary"),
+    "lattice_bruteforce saturated": lambda g: graphcstar.lattice_bruteforce(
+        g, "saturated_hereditary"),
+    "serialize_dsl": lambda g: graphcstar.serialize_dsl(g),
+    "serialize_json": lambda g: graphcstar.serialize_json(g),
+    "emit_dot": lambda g: graphcstar.emit_dot(g),
+    "classify": lambda g: classify(g),
+    "simplicity_verdict": lambda g: graphcstar.simplicity_verdict(g),
+    "schweizer_check": lambda g: graphcstar.schweizer_check(g),
+}
+
+# Calls given a bad argument as well: the argument's ValueError comes first.
+DOUBLY_INVALID_CALLS = {
+    "paths_of_length": (lambda g: graphcstar.paths_of_length(g, 0), "at least 1"),
+    "count_paths": (lambda g: graphcstar.count_paths(g, 0), "at least 1"),
+    "power_graph": (lambda g: graphcstar.power_graph(g, 0), "at least 1"),
+    "Graph.path": (lambda g: g.path([]), "at least one edge"),
+    "cycle_exits": (lambda g: graphcstar.cycle_exits(g, Path(g, ())), "empty path"),
+    "lattice": (lambda g: lattice(g, "ideal"), "unknown lattice kind"),
+    "lattice_bruteforce": (lambda g: graphcstar.lattice_bruteforce(g, "ideal"),
+                           "unknown lattice kind"),
+}
+
+
+@pytest.mark.parametrize("vertices, edges", INVALID_GRAPHS.values(), ids=INVALID_GRAPHS.keys())
+def test_every_operation_refuses_an_invalid_graph(vertices, edges):
+    g = Graph(vertices, edges)
+    expected = g.validate()
+    assert not expected.ok
+    with pytest.raises(InvalidGraphError) as exc:
+        Graph.checked(vertices, edges)
+    assert exc.value.result == expected
+    accepted = []
+    for name, call in REFUSING_CALLS.items():
+        for _ in range(2):  # the refusal is not cached away
+            try:
+                call(g)
+            except InvalidGraphError as exc:
+                assert exc.result == expected, name
+            else:
+                accepted.append(name)
+    assert accepted == []
+    for name, (call, message) in DOUBLY_INVALID_CALLS.items():
+        with pytest.raises(ValueError, match=message) as exc:
+            call(g)
+        assert type(exc.value) is ValueError, name
+    # The value behaviour reads the unchecked fields.
+    assert repr(g) == f"Graph(vertices={vertices!r}, edges={edges!r})"
+    assert g == Graph(vertices, edges) and hash(g) == hash(Graph(vertices, edges))
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g and clone.validate() == expected
+        with pytest.raises(InvalidGraphError):
+            clone.vertices
