@@ -21,9 +21,8 @@ _MODULE_OF = {name: module for module, names in (
                "cycle_exits paths_of_length power_graph simple_cycles vertex_classes"),
     ("ideals", "SubsetLattice is_hereditary is_saturated lattice lattice_bruteforce "
                "saturated_hereditary_closure"),
-    ("io_formats", "Diagnostic FormatError GraphDocument GraphSemanticError ParseError "
-                   "emit_dot parse_dsl parse_dsl_document parse_json serialize_dsl "
-                   "serialize_json"),
+    ("io_formats", "Diagnostic FormatError GraphSemanticError ParseError emit_dot parse_dsl "
+                   "parse_json serialize_dsl serialize_json"),
     ("verdicts", "CITATIONS AnalysisReport ReportFlags SchweizerStatus classify "
                  "report_to_dict schweizer_check simplicity_verdict"),
 ) for name in names.split()}

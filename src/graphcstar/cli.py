@@ -36,7 +36,6 @@ from .graphs import (
     CapExceeded,
     Graph,
     InternalInvariantError,
-    InvalidGraphError,
     power_graph,
     simple_cycles,
 )
@@ -284,7 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnicodeDecodeError as exc:  # an input file that is not UTF-8
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
-    except (InvalidGraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

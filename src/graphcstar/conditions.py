@@ -127,10 +127,6 @@ class PeriodicityVerdict(NamedTuple):
     searched_bound: Optional[int] = None
 
 
-def _unit_degrees(g: Graph) -> bool:
-    return all(len(g._out[v]) == 1 and len(g._in[v]) == 1 for v in g.vertices)
-
-
 def _cycle_lengths(g: Graph) -> list[int]:
     # Assumes unit in- and out-degrees: the out-edges form a permutation.
     lengths = []
@@ -150,7 +146,7 @@ def _cycle_lengths(g: Graph) -> list[int]:
 
 def is_disjoint_cycles(g: Graph) -> bool:
     """Whether every vertex has in-degree and out-degree exactly one."""
-    return _unit_degrees(g)
+    return all(len(g._out[v]) == 1 and len(g._in[v]) == 1 for v in g.vertices)
 
 
 def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = None) -> PeriodicityVerdict:
@@ -175,12 +171,12 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
     if not g.vertices:
         raise ValueError("empty graph")
     if method == "structural":
-        if _unit_degrees(g):
+        if is_disjoint_cycles(g):
             return PeriodicityVerdict(True, lcm(*_cycle_lengths(g)), "structural")
         return PeriodicityVerdict(False, None, "structural")
     if method != "direct-power":
         raise ValueError(f"unknown method {method!r}")
-    if bound is None and _unit_degrees(g):
+    if bound is None and is_disjoint_cycles(g):
         # The out-edges permute the vertices; the n-th power graph is all
         # loops iff the n-th power of the permutation, formed by O(log n)
         # compositions, is the identity.  The least such n is the lcm L of

@@ -85,7 +85,8 @@ class Graph:
     every operation does, raises :class:`InvalidGraphError` on an invalid
     graph; an operation also given a bad argument may raise that ValueError
     first.  Instances are immutable and safe to share between threads.
-    Equality, hashing and the repr use the unchecked ``(vertices, edges)``.
+    Equality, hashing, the repr and pickling use the unchecked ``(vertices,
+    edges)``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -94,8 +95,22 @@ class Graph:
         vars(self).update(_vertices=tuple(vertices), _edges=tuple(
             e if type(e) is Edge else Edge(*e) for e in edges))
 
+    @classmethod
+    def _proven(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "Graph":
+        """A graph over parts its caller has proven valid: unique vertex ids,
+        unique edge ids and declared endpoints.  The tuples are stored as
+        given and the ok verdict is recorded, so neither is checked again."""
+        g = cls.__new__(cls)
+        vars(g).update(_vertices=vertices, _edges=edges, _validation=_VALID)
+        return g
+
     __setattr__ = _refuse_assignment
     __delattr__ = _refuse_deletion
+
+    def __reduce__(self):
+        # By value: a pickle or copy carries no memoised index or verdict,
+        # and is checked on its first read.
+        return Graph, (self._vertices, self._edges)
 
     # Cached only once the check passes, after which a read is a plain
     # attribute lookup; an invalid graph raises on every read.
@@ -517,19 +532,16 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
         for head in (e.id + s,)
         for t, end in tails(b, 0, m))
     memo.clear()
-    result = Graph(g.vertices, edges)
     # Endpoints are declared by construction, and joined ids can only
-    # collide when some edge id contains the "." separator.  The verdict is
-    # kept as the result's cached validation, so reading the result (the
-    # serializers, for one) does not check the graph again.
-    if any("." in e.id for e in g.edges):
-        check = result._validation
-        if not check.ok:
-            raise ValueError(
-                "power graph edge ids collide; avoid '.' in edge ids: "
-                + "; ".join(i.message for i in check.issues))
-    else:
-        vars(result)["_validation"] = _VALID
+    # collide when some edge id contains the "." separator.
+    if not any("." in e.id for e in g.edges):
+        return Graph._proven(g.vertices, edges)
+    result = Graph(g.vertices, edges)
+    check = result._validation
+    if not check.ok:
+        raise ValueError(
+            "power graph edge ids collide; avoid '.' in edge ids: "
+            + "; ".join(i.message for i in check.issues))
     return result
 
 

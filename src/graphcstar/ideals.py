@@ -54,14 +54,9 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
     they have no out-edges to count down.  The map is extensive, monotone,
     and idempotent.
     """
-    return _closure(g, _vertex_set(g, members))
-
-
-def _closure(g: Graph, members: Iterable[str]) -> frozenset[str]:
-    """The worklist of :func:`saturated_hereditary_closure`, unchecked."""
+    work = list(_vertex_set(g, members))
     outside = {v: len(g._out[v]) for v in g.vertices}
     current: set[str] = set()
-    work = list(members)
     while work:
         v = work.pop()
         if v in current:
@@ -85,7 +80,7 @@ def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     components = g._components
     if len(components) <= 1:
         return True, True
-    return False, len(_closure(g, components[0])) == len(g.vertices)
+    return False, len(saturated_hereditary_closure(g, components[0])) == len(g.vertices)
 
 
 class SubsetLattice(NamedTuple):

@@ -72,15 +72,6 @@ class GraphSemanticError(FormatError):
     """Well-formed input describing an invalid graph."""
 
 
-class GraphDocument(NamedTuple):
-    """A parsed graph plus the source locations of its declarations."""
-
-    source: str
-    graph: Graph
-    vertex_lines: dict[str, int]
-    edge_lines: dict[str, int]
-
-
 def _raise(diags: list[Diagnostic]) -> None:
     if any(d.kind in ("syntax", "schema") for d in diags):
         raise ParseError(diags)
@@ -88,16 +79,17 @@ def _raise(diags: list[Diagnostic]) -> None:
         raise GraphSemanticError(diags)
 
 
-def parse_dsl_document(text: str) -> GraphDocument:
-    """Parse DSL text, keeping declaration locations for later diagnostics.
+def parse_dsl(text: str) -> Graph:
+    """Parse DSL text into a graph.
 
     All problems in the input are collected before raising, so one failed
     parse reports every offending line.  Lines are split with ``str.split``,
     which agrees with ``_TOKEN`` on every code point; token columns are
-    worked out only for a line that gets a diagnostic.
+    worked out only for a line that gets a diagnostic.  Vertex and edge ids
+    map to their declaration lines, which proves the graph valid as it is
+    read, so it is not checked again.
     """
     diags: list[Diagnostic] = []
-    vertices: list[str] = []
     vertex_lines: dict[str, int] = {}
     edges: list[Edge] = []
     edge_lines: dict[str, int] = {}
@@ -129,7 +121,6 @@ def parse_dsl_document(text: str) -> GraphDocument:
         elif word == "vertex" and len(tokens) == 2:
             vid = tokens[1]
             if vid not in vertex_lines:
-                vertices.append(vid)
                 vertex_lines[vid] = lineno
                 continue
             diags.append(Diagnostic(
@@ -149,17 +140,12 @@ def parse_dsl_document(text: str) -> GraphDocument:
                 "syntax", f"unknown directive {word!r}", line=lineno, column=_columns(line)[0]))
 
     _raise(diags)
-    g = Graph(tuple(vertices), tuple(edges))
-    return GraphDocument(text, g, vertex_lines, edge_lines)
+    return Graph._proven(tuple(vertex_lines), tuple(edges))
 
 
 def _columns(line: str) -> list[int]:
     """1-based start columns of the tokens of a comment-free line."""
     return [m.start() + 1 for m in _TOKEN.finditer(line)]
-
-
-def parse_dsl(text: str) -> Graph:
-    return parse_dsl_document(text).graph
 
 
 _DSL_ID = re.compile(r"[^\s#]+\Z")
@@ -185,8 +171,8 @@ def parse_json(document: Union[str, dict]) -> Graph:
     Schema problems raise :class:`ParseError` with the offending field path;
     duplicate ids and dangling endpoints raise :class:`GraphSemanticError`.
     A well-formed edge object is taken in one step, and the graph is checked
-    by set sizes; the per-field and per-item walks that locate a problem run
-    only when there is one.
+    by set sizes, once; the per-field and per-item walks that locate a
+    problem run only when there is one.
     """
     if isinstance(document, str):
         import json
@@ -269,7 +255,7 @@ def parse_json(document: Union[str, dict]) -> Graph:
                 diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
         _raise(diags)
 
-    return Graph(tuple(vertices), tuple(edges))
+    return Graph._proven(tuple(vertices), tuple(edges))
 
 
 # A string ends at its closing quote or, unterminated, where it cannot go on;

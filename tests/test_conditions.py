@@ -241,6 +241,18 @@ def test_periodicity_methods_agree():
         assert s.periodic == is_disjoint_cycles(g)
 
 
+def test_periodicity_methods_agree_on_every_small_graph():
+    # All 4,388 graphs of 1-4 vertices and at most 6 edges, up to isomorphism.
+    periodic = 0
+    for k in range(1, 5):
+        for g in iso_graphs(k, 6):
+            s = periodicity(g)
+            d = periodicity(g, method="direct-power")
+            assert (s.periodic, s.minimal_period) == (d.periodic, d.minimal_period), g
+            periodic += s.periodic
+    assert 0 < periodic < 4388
+
+
 def test_witness_request_validation():
     g = exit_graph()
     a = VertexWeights.indicator(g, ["u"])

@@ -49,6 +49,11 @@ def test_path_vector_validation():
         PathVector(g, 2, {g.path(["a"]): 1.0})
     with pytest.raises(ValueError):
         PathVector(g, 0, {})
+    g2 = cycle_graph(2)
+    with pytest.raises(ValueError, match="path from a different graph"):
+        PathVector(g, 1, {g2.path(["e1"]): 1.0})
+    with pytest.raises(ValueError, match="different modules"):
+        x + delta(g2, ["e1"])
 
 
 def test_inner_product_example():
@@ -89,6 +94,8 @@ def test_left_action_multiplies_at_source():
     x = PathVector(g, 2, {g.path(["a", "b"]): 1.0, g.path(["c", "d"]): 4.0})
     ax = left_action(a, x)
     assert ax.weights == {g.path(["a", "b"]): 2.0, g.path(["c", "d"]): 1.0}
+    with pytest.raises(ValueError, match="weights and vector live over different graphs"):
+        left_action(VertexWeights(cycle_graph(2), {"v1": 1.0}), x)
 
 
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(-4, 4), st.integers(-4, 4))

@@ -26,6 +26,7 @@ from conftest import (
     cycle_graph,
     exit_graph,
     graphs_strategy,
+    iso_graphs,
     random_graph,
     rose2,
     shuffled,
@@ -168,6 +169,15 @@ def test_count_paths_takes_the_cheaper_route():
         assert count_paths(g, n) == sum(map(sum, matrix_power(g.adjacency_matrix(), n))), (g, n)
 
 
+def test_count_paths_matches_matrix_power_on_every_small_graph():
+    # All 4,388 graphs of 1-4 vertices and at most 6 edges, up to isomorphism.
+    for k in range(1, 5):
+        for g in iso_graphs(k, 6):
+            m = g.adjacency_matrix()
+            for n in range(1, 7):
+                assert count_paths(g, n) == sum(map(sum, matrix_power(m, n))), (g, n)
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_power_graph_cap_check_is_linear_on_long_cycle():
     # Squaring the 800 x 800 adjacency matrix took about 30 s here.
@@ -194,6 +204,11 @@ def test_graph_path_validates():
         g.path(["a", "c"])
     with pytest.raises(ValueError):
         g.path([])
+
+
+def test_out_edges_of_unknown_vertex():
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        exit_graph().out_edges("zz")
 
 
 def test_power_graph_one_is_identity():

@@ -11,14 +11,13 @@ from graphcstar import (
     classify,
     emit_dot,
     parse_dsl,
-    parse_dsl_document,
     parse_json,
     serialize_dsl,
     serialize_json,
 )
 
 from graphcstar.graphs import Edge
-from graphcstar.io_formats import _TOKEN, Diagnostic, GraphDocument
+from graphcstar.io_formats import _TOKEN, Diagnostic
 
 from conftest import FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, two_loops
 
@@ -34,13 +33,6 @@ edge c w w  # trailing comment
 """
     g = parse_dsl(text)
     assert g == source_loop()
-
-
-def test_parse_dsl_document_locations():
-    doc = parse_dsl_document("vertex u\n\nvertex w\nedge b u w\n")
-    assert doc.vertex_lines == {"u": 1, "w": 3}
-    assert doc.edge_lines == {"b": 4}
-    assert doc.graph.vertices == ("u", "w")
 
 
 def test_fixture_files_parse_to_intended_graphs():
@@ -289,7 +281,7 @@ def _reference_raise(diags):
         raise GraphSemanticError(diags)
 
 
-def _reference_parse_dsl_document(text):
+def _reference_parse_dsl(text):
     diags = []
     vertices = []
     vertex_lines = {}
@@ -352,8 +344,7 @@ def _reference_parse_dsl_document(text):
                 "syntax", f"unknown directive {word!r}", line=lineno, column=col))
 
     _reference_raise(diags)
-    g = Graph(tuple(vertices), tuple(edges))
-    return GraphDocument(text, g, vertex_lines, edge_lines)
+    return Graph(tuple(vertices), tuple(edges))
 
 
 def _reference_parse_json(document):
@@ -433,15 +424,14 @@ def _reference_parse_json(document):
 
 
 def _outcome(parse, document):
-    """The returned value, or the error type and each diagnostic's fields."""
+    """The returned graph, which must be valid, or the error type and each
+    diagnostic's fields."""
     try:
         result = parse(document)
     except (ParseError, GraphSemanticError) as exc:
         return type(exc).__name__, [
             (d.kind, d.message, d.line, d.column, d.path) for d in exc.diagnostics]
-    if isinstance(result, GraphDocument):
-        assert all(type(e) is Edge for e in result.graph.edges)
-        return "ok", result.graph, result.vertex_lines, result.edge_lines
+    assert result.validate().ok
     assert all(type(e) is Edge for e in result.edges)
     return "ok", result
 
@@ -546,8 +536,8 @@ def test_parse_dsl_matches_reference_route():
     failures = 0
     for _ in range(2000):
         text = _random_dsl(rng)
-        got = _outcome(parse_dsl_document, text)
-        assert got == _outcome(_reference_parse_dsl_document, text), repr(text)
+        got = _outcome(parse_dsl, text)
+        assert got == _outcome(_reference_parse_dsl, text), repr(text)
         failures += got[0] != "ok"
     assert 400 < failures < 1600  # both outcomes are well represented
 

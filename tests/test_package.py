@@ -18,7 +18,6 @@ from graphcstar import (
     Diagnostic,
     Edge,
     Graph,
-    GraphDocument,
     InvalidGraphError,
     Path,
     PeriodicityVerdict,
@@ -31,7 +30,6 @@ from graphcstar import (
     WitnessRequest,
     classify,
     lattice,
-    parse_dsl_document,
 )
 
 from conftest import FIXTURES_DIR, fixture_path
@@ -105,6 +103,28 @@ def test_verdict_commands_load_what_they_run(tmp_path, argv, needed, unneeded):
     assert not loaded & unneeded
 
 
+# A parsed graph is proven valid by its parser, so no subcommand checks it
+# again; "power" builds its result proven valid as well.
+@pytest.mark.parametrize("fixture", ["g_exit.txt", "g_exit.json"])
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["classify"], ["ideals"],
+    ["witness", "--support", "u", "--epsilon", "0.5", "--max-length", "3"],
+    ["power", "-n", "3"], ["cycles"], ["dot"], ["dot", "--annotate"],
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "dot" else argv[0])
+def test_commands_do_not_validate_the_parsed_graph(fixture, argv, capsys, monkeypatch):
+    from graphcstar.cli import main
+    calls = []
+    validate = Graph.validate
+
+    def counting(self):
+        calls.append(len(self._edges))
+        return validate(self)
+
+    monkeypatch.setattr(Graph, "validate", counting)
+    assert main([argv[0], str(FIXTURES_DIR / fixture), *argv[1:]]) == 0
+    assert capsys.readouterr().out and calls == []
+
+
 # The public names by defining module, as the package has always exported
 # them; InternalInvariantError is defined in graphs and re-exported here.
 PUBLIC = {
@@ -119,9 +139,8 @@ PUBLIC = {
                "vertex_classes"],
     "ideals": ["SubsetLattice", "is_hereditary", "is_saturated", "lattice", "lattice_bruteforce",
                "saturated_hereditary_closure"],
-    "io_formats": ["Diagnostic", "FormatError", "GraphDocument", "GraphSemanticError",
-                   "ParseError", "emit_dot", "parse_dsl", "parse_dsl_document", "parse_json",
-                   "serialize_dsl", "serialize_json"],
+    "io_formats": ["Diagnostic", "FormatError", "GraphSemanticError", "ParseError", "emit_dot",
+                   "parse_dsl", "parse_json", "serialize_dsl", "serialize_json"],
     "verdicts": ["CITATIONS", "AnalysisReport", "InternalInvariantError", "ReportFlags",
                  "SchweizerStatus", "classify", "report_to_dict", "schweizer_check",
                  "simplicity_verdict"],
@@ -130,7 +149,7 @@ PUBLIC = {
 
 def test_public_surface():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) + len(PUBLIC) == 68
+    assert len(names) + len(PUBLIC) == 66
     assert graphcstar.__all__ == sorted([*names, *PUBLIC])
     for module, names in PUBLIC.items():
         mod = importlib.import_module(f"graphcstar.{module}")
@@ -154,7 +173,6 @@ def _value_cases():
     p = g.path(["e", "e"])
     v = Graph(("u", "u"), ()).validate()
     d = Diagnostic("syntax", "bad", line=2, column=3)
-    doc = parse_dsl_document("vertex u\nedge e u u\n")
     a = VertexWeights(g, {"u": 1.0})
     lat = lattice(g, "hereditary")
     report = classify(g)
@@ -182,12 +200,6 @@ def _value_cases():
          Diagnostic("syntax", "bad", line=2),
          ("syntax", "bad", 2, 3, None), "kind",
          "Diagnostic(kind='syntax', message='bad', line=2, column=3, path=None)"),
-        (doc, GraphDocument(source="vertex u\nedge e u u\n", graph=g, vertex_lines={"u": 1},
-                            edge_lines={"e": 2}),
-         GraphDocument(doc.source, doc.graph, doc.vertex_lines, {"e": 3}),
-         None, "graph",  # dict fields make it unhashable
-         "GraphDocument(source='vertex u\\nedge e u u\\n', graph=Graph(vertices=('u',), "
-         "edges=(Edge(id='e', src='u', dst='u'),)), vertex_lines={'u': 1}, edge_lines={'e': 2})"),
         (PeriodicityVerdict(True, 1, "structural"),
          PeriodicityVerdict(periodic=True, minimal_period=1, method="structural",
                             searched_bound=None),
@@ -220,7 +232,7 @@ def _value_cases():
 
 
 @pytest.mark.parametrize("value, same, other, fields, field, text", _value_cases(),
-                         ids=["Graph", "Path", "ValidationResult", "Diagnostic", "GraphDocument",
+                         ids=["Graph", "Path", "ValidationResult", "Diagnostic",
                               "PeriodicityVerdict", "WitnessRequest", "SubsetLattice",
                               "ReportFlags", "AnalysisReport"])
 def test_value_types(value, same, other, fields, field, text):
@@ -243,6 +255,20 @@ def test_value_types(value, same, other, fields, field, text):
         assert clone == value and repr(clone) == text
         if isinstance(value, Path):
             assert clone.graph == value.graph
+
+
+def test_graph_pickles_by_value():
+    # A copy carries neither the memoised indexes nor the cached verdict: a
+    # parsed graph, recorded valid when built, is checked again when read.
+    vs = tuple(f"v{i}" for i in range(200))
+    g = graphcstar.parse_dsl("".join(f"vertex {v}\n" for v in vs) + "".join(
+        f"edge e{i} {vs[i % 200]} {vs[i * 7 % 200]}\n" for i in range(600)))
+    size = len(pickle.dumps(g))
+    classify(g)
+    assert len(pickle.dumps(g)) == size
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g and "_validation" not in vars(clone)
+        assert clone.vertices == vs and vars(clone)["_validation"].ok
 
 
 def test_readme_examples_run():
