@@ -12,8 +12,9 @@ it runs: ``dot``, ``power`` and ``cycles`` load ``graphs`` and ``io_formats``
 (and ``json`` only for JSON input or output), while ``analyze``,
 ``classify``, ``ideals``, ``witness`` and ``dot --annotate`` import the
 verdict modules they need when they run.  Only ``witness`` loads
-``correspondence`` and ``dataclasses``; the text report is rendered from
-:func:`~graphcstar.verdicts.report_to_dict`, as the JSON one is.
+``correspondence``, and no subcommand loads ``dataclasses`` or ``inspect``;
+the text report is rendered from :func:`~graphcstar.verdicts.report_to_dict`,
+as the JSON one is.
 
 Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
 holding an integer of more than 4,300 digits included), or an input file that

@@ -13,25 +13,31 @@ leading block of alpha and alpha overlaps itself with shift k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, Path, _same_graph
 
 
-@dataclass
-class VertexWeights:
-    """A nonnegative weight for each vertex; omitted vertices weigh 0."""
+def _refuse_tuple_arithmetic(self, other):
+    # A NamedTuple would repeat or concatenate itself as a plain tuple.
+    raise TypeError(f"unsupported operand for {type(self).__name__}: {type(other).__name__!r}")
 
-    graph: Graph = field(repr=False)
-    weights: dict[str, float]
 
-    def __post_init__(self):
-        self.graph.require_valid()
+class VertexWeights(NamedTuple("VertexWeights", [
+        ("graph", Graph), ("weights", dict[str, float])])):
+    """A nonnegative weight for each vertex; omitted vertices weigh 0.
+    Checked whenever one is built, unpickling included."""
+
+    __slots__ = ()
+    __hash__ = None  # the weights are a dict; refused before hashing the graph
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_tuple_arithmetic
+
+    def __new__(cls, graph: Graph, weights: dict[str, float]):
+        pos = graph.vertex_pos  # refuses an invalid graph
         clean: dict[str, float] = {}
-        for v, w in self.weights.items():
-            if v not in self.graph.vertex_pos:
+        for v, w in weights.items():
+            if v not in pos:
                 raise ValueError(f"unknown vertex {v!r}")
             w = float(w)
             if not isfinite(w):
@@ -39,7 +45,10 @@ class VertexWeights:
             if w < 0:
                 raise ValueError(f"negative weight {w} at vertex {v!r}")
             clean[v] = w
-        self.weights = clean
+        return super().__new__(cls, graph, clean)
+
+    def __repr__(self) -> str:
+        return f"VertexWeights(weights={self.weights!r})"
 
     @classmethod
     def indicator(cls, g: Graph, vertices: Iterable[str]) -> "VertexWeights":
@@ -58,33 +67,33 @@ class VertexWeights:
         return all(w == 0.0 for w in self.weights.values())
 
 
-@dataclass
-class PathVector:
+class PathVector(NamedTuple("PathVector", [
+        ("graph", Graph), ("length", int), ("weights", dict[Path, complex])])):
     """Complex weights on paths of one fixed length; omitted paths weigh 0.
+    Zero weights are dropped, so equal vectors over one graph compare equal;
+    checked whenever one is built, unpickling included."""
 
-    Zero weights are dropped on construction, so equal vectors compare equal
-    as dataclasses.
-    """
+    __slots__ = ()
+    __hash__ = None
+    __radd__ = __mul__ = _refuse_tuple_arithmetic
 
-    graph: Graph = field(repr=False, compare=False)
-    length: int
-    weights: dict[Path, complex]
-
-    def __post_init__(self):
-        self.graph.require_valid()
-        if self.length < 1:
+    def __new__(cls, graph: Graph, length: int, weights: dict[Path, complex]):
+        graph.vertices  # refuses an invalid graph
+        if length < 1:
             raise ValueError("path vectors need length at least 1")
         clean: dict[Path, complex] = {}
-        for p, w in self.weights.items():
-            if not _same_graph(p.graph, self.graph):
+        for p, w in weights.items():
+            if not _same_graph(p.graph, graph):
                 raise ValueError("path from a different graph")
-            if p.length != self.length:
-                raise ValueError(
-                    f"path of length {p.length} in a vector of length {self.length}")
+            if p.length != length:
+                raise ValueError(f"path of length {p.length} in a vector of length {length}")
             w = complex(w)
             if w != 0:
                 clean[p] = w
-        self.weights = clean
+        return super().__new__(cls, graph, length, clean)
+
+    def __repr__(self) -> str:
+        return f"PathVector(length={self.length!r}, weights={self.weights!r})"
 
     @classmethod
     def delta(cls, path: Path, weight: complex = 1.0) -> "PathVector":

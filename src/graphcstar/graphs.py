@@ -187,10 +187,6 @@ class Graph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def edge_pos(self) -> dict[str, int]:
-        return {e.id: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -646,19 +642,12 @@ def cycle_exits(g: Graph, cycle: Path) -> list[str]:
     """
     if not cycle.edges:
         raise ValueError("not a cycle: empty path")
-    gp = g.path(cycle.edges)  # re-validates composability
-    if gp.source != gp.range:
+    if not g.path(cycle.edges).is_cycle():  # re-validates composability
         raise ValueError("not a cycle: source differs from range")
     used_at: dict[str, set[str]] = {}
     for eid in cycle.edges:
-        e = g.edge_map[eid]
-        used_at.setdefault(e.src, set()).add(eid)
-    exits = []
-    for f in g.edges:
-        used = used_at.get(f.src)
-        if used is not None and used != {f.id}:
-            exits.append(f.id)
-    return exits
+        used_at.setdefault(g.edge_map[eid].src, set()).add(eid)
+    return [f.id for f in g.edges if f.src in used_at and used_at[f.src] != {f.id}]
 
 
 def connectivity(g: Graph) -> Connectivity:

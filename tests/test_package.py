@@ -20,6 +20,7 @@ from graphcstar import (
     Graph,
     InvalidGraphError,
     Path,
+    PathVector,
     PeriodicityVerdict,
     ReportFlags,
     SchweizerStatus,
@@ -55,8 +56,11 @@ sys.exit(code)
 """
 
 VERDICT_STACK = {f"graphcstar.{m}" for m in ("conditions", "ideals", "verdicts")}
-# Only ``witness`` builds vertex weights, the last dataclasses.
-WITNESS_STACK = {"graphcstar.correspondence", "dataclasses"}
+# Only ``witness`` builds vertex weights.
+WITNESS_STACK = {"graphcstar.correspondence"}
+# Slow standard library imports that no call needs: ``dataclasses`` loads
+# ``inspect``, and the two took over half of an import of ``correspondence``.
+NEVER_LOADED = {"dataclasses", "inspect"}
 
 
 def _loaded(tmp_path, *argv) -> set[str]:
@@ -66,7 +70,9 @@ def _loaded(tmp_path, *argv) -> set[str]:
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert bool(proc.stdout) == bool(argv)
-    return set(out.read_text().split())
+    loaded = set(out.read_text().split())
+    assert not loaded & NEVER_LOADED
+    return loaded
 
 
 @pytest.mark.parametrize("argv", [["dot"], ["power", "-n", "2"], ["cycles"]])
@@ -174,6 +180,7 @@ def _value_cases():
     v = Graph(("u", "u"), ()).validate()
     d = Diagnostic("syntax", "bad", line=2, column=3)
     a = VertexWeights(g, {"u": 1.0})
+    x = PathVector.delta(g.path(["e"]))
     lat = lattice(g, "hereditary")
     report = classify(g)
     flag_values = (True,) * 6 + (False,) * 3 + (True,) * 2
@@ -210,8 +217,16 @@ def _value_cases():
         (WitnessRequest(a, 0, 0.5, 3),
          WitnessRequest(a=VertexWeights.indicator(g, ["u"]), n=0, epsilon=0.5, max_length=3),
          WitnessRequest(a, 1, 0.5, 3),
-         None, "a",  # vertex weights are mutable, so unhashable
+         None, "a",  # vertex weights hold a dict, so unhashable
          "WitnessRequest(a=VertexWeights(weights={'u': 1.0}), n=0, epsilon=0.5, max_length=3)"),
+        (a, VertexWeights(graph=Graph(["u"], [("e", "u", "u")]), weights={"u": 1}),
+         VertexWeights(g, {"u": 2.0}),
+         None, "weights",
+         "VertexWeights(weights={'u': 1.0})"),
+        (x, PathVector(graph=g, length=1, weights={Path(g, ("e",)): 1}),
+         PathVector(g, 2, {p: 1.0}),
+         None, "length",
+         "PathVector(length=1, weights={Path(edges=('e',)): (1+0j)})"),
         (lat, SubsetLattice(graph=Graph(["u"], [("e", "u", "u")]), kind="hereditary",
                             elements=(frozenset(), frozenset({"u"}))),
          lattice(g, "saturated_hereditary"),
@@ -233,8 +248,8 @@ def _value_cases():
 
 @pytest.mark.parametrize("value, same, other, fields, field, text", _value_cases(),
                          ids=["Graph", "Path", "ValidationResult", "Diagnostic",
-                              "PeriodicityVerdict", "WitnessRequest", "SubsetLattice",
-                              "ReportFlags", "AnalysisReport"])
+                              "PeriodicityVerdict", "WitnessRequest", "VertexWeights",
+                              "PathVector", "SubsetLattice", "ReportFlags", "AnalysisReport"])
 def test_value_types(value, same, other, fields, field, text):
     assert repr(value) == text
     assert value == same and not value != same
@@ -282,6 +297,28 @@ def test_witness_request_checks_on_unpickling():
     unchecked = tuple.__new__(WitnessRequest, (VertexWeights(g, {"u": 1.0}), -1, 0.5, 3))
     with pytest.raises(ValueError, match="n must be nonnegative"):
         pickle.loads(pickle.dumps(unchecked))
+
+
+def test_weights_and_vectors_check_on_unpickling():
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    for unchecked, message in [
+        (tuple.__new__(VertexWeights, (g, {"u": -1.0})), "negative weight"),
+        (tuple.__new__(PathVector, (g, 0, {})), "length at least 1"),
+    ]:
+        for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+            with pytest.raises(ValueError, match=message):
+                clone(unchecked)
+
+
+def test_weights_and_vectors_do_not_repeat_as_tuples():
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    a = VertexWeights(g, {"u": 1.0})
+    x = PathVector.delta(g.path(["e"]))
+    assert 2 * x == PathVector(g, 1, {g.path(["e"]): 2})
+    for operation in (lambda: x * 2, lambda: x * x, lambda: (1,) + x, lambda: a * 2,
+                      lambda: 2 * a, lambda: a + a, lambda: (1,) + a):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_report_lists_its_lattices_on_each_read():

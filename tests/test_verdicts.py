@@ -10,10 +10,14 @@ from graphcstar import (
     Graph,
     classify,
     condition_L,
+    condition_L_bruteforce,
     condition_S,
     lattice,
+    lattice_bruteforce,
+    periodicity,
     report_to_dict,
     schweizer_check,
+    serialize_json,
     simplicity_verdict,
     vertex_classes,
 )
@@ -22,10 +26,12 @@ from graphcstar.cli import main
 from graphcstar.conditions import PeriodicityVerdict
 
 from conftest import (
+    FIXTURES_DIR,
     chain_graph,
     cycle_graph,
     exit_graph,
     fixture_path,
+    iso_graphs,
     lcm_graph,
     random_no_sink_no_source,
     source_loop,
@@ -150,6 +156,42 @@ def test_flag_consistency_random():
         # dichotomy applies: hypotheses hold by construction
         assert rep.schweizer.holds
         assert rep.schweizer_predicted == rep.simplicity
+
+
+def _census() -> list[dict]:
+    """Each realised (L), (S), nonperiodic, Schweizer hypotheses, simplicity
+    combination over every graph on exactly 1-4 vertices with at most 6
+    edges, up to isomorphism, with its count and its first graph in
+    enumeration order (fewest vertices, then fewest edges).  Every graph's
+    flags are checked against the brute-force routes on the way."""
+    rows: dict[tuple, dict] = {}
+    for k in range(1, 5):
+        for g in iso_graphs(k, 6):
+            report = classify(g)
+            flags = report.flags
+            holds_L = condition_L_bruteforce(g).holds
+            trivial_sat = lattice_bruteforce(g, "saturated_hereditary").is_trivial()
+            assert flags.condition_L == holds_L, g
+            assert flags.condition_S == (holds_L and flags.no_sinks), g
+            assert flags.trivial_hereditary == lattice_bruteforce(g, "hereditary").is_trivial(), g
+            assert flags.trivial_saturated_hereditary == trivial_sat, g
+            assert flags.nonperiodic != periodicity(g, method="direct-power").periodic, g
+            assert (report.simplicity == "simple") == (holds_L and trivial_sat), g
+            key = (flags.condition_L, flags.condition_S, flags.nonperiodic,
+                   report.schweizer.holds, report.simplicity)
+            row = rows.setdefault(key, dict(zip(
+                ("condition_L", "condition_S", "nonperiodic", "schweizer_hypotheses",
+                 "simplicity"), key), count=0, first=serialize_json(g)))
+            row["count"] += 1
+    return list(rows.values())
+
+
+def test_census_of_small_graphs():
+    # The paper's comparison of Condition (S) with the nonperiodic condition,
+    # done exhaustively on 4,388 graphs; the README cites these rows.
+    census = _census()
+    assert sum(row["count"] for row in census) == 4388
+    assert census == json.loads((FIXTURES_DIR / "census.json").read_text())
 
 
 def test_citations_have_statements():
