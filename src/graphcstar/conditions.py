@@ -73,14 +73,16 @@ def condition_L(g: Graph) -> ConditionL:
     """
     out = g._out
     first = min((v for c in g._components
-                 if all(len(out[v]) == 1 for v in c) and out[c[0]][0].dst in c
+                 if all(len(out[v]) == 1 for v in c) and out[c[0]][0][2] in c
                  for v in c), key=g.vertex_pos.__getitem__, default=None)
     if first is None:
         return ConditionL(True, None)
-    trail = [out[first][0]]
-    while trail[-1].dst != first:
-        trail.append(out[trail[-1].dst][0])
-    return ConditionL(False, Path(g, tuple(e.id for e in trail)))
+    eid, _, v = out[first][0]
+    trail = [eid]
+    while v != first:
+        eid, _, v = out[v][0]
+        trail.append(eid)
+    return ConditionL(False, Path(g, tuple(trail)))
 
 
 def condition_L_bruteforce(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionL:
@@ -138,7 +140,7 @@ def _cycle_lengths(g: Graph) -> list[int]:
         u = v
         while u not in seen:
             seen.add(u)
-            u = g._out[u][0].dst
+            u = g._out[u][0][2]
             length += 1
         lengths.append(length)
     return lengths
@@ -183,7 +185,7 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
         # the cycle lengths iff the L-th power is and no (L/p)-th is, p prime.
         lengths = _cycle_lengths(g)
         bound = lcm(*lengths)
-        succ = [g.vertex_pos[g._out[v][0].dst] for v in g.vertices]
+        succ = [g.vertex_pos[g._out[v][0][2]] for v in g.vertices]
 
         def is_identity(k: int) -> bool:
             return _power(succ, k, lambda a, b: [a[j] for j in b]) == list(range(len(succ)))
@@ -197,7 +199,7 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
     start = {v: (v,) for v in g.vertices}
     ends = start
     for n in range(1, bound + 1):
-        ends = {v: tuple(islice(chain.from_iterable(ends[e.dst] for e in g._out[v]), 2))
+        ends = {v: tuple(islice(chain.from_iterable(ends[dst] for _, _, dst in g._out[v]), 2))
                 for v in g.vertices}
         if ends == start:
             return PeriodicityVerdict(True, n, "direct-power", searched_bound=bound)
@@ -210,6 +212,7 @@ class WitnessRequest(NamedTuple("WitnessRequest", [
     whenever one is built, unpickling included."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, a: VertexWeights, n: int, epsilon: float, max_length: int):
         if a.is_zero():
@@ -245,13 +248,13 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     Returns the first (m, path) found, or None when the bound is exhausted
     -- which never claims nonexistence.
     """
-    edges = g.edges  # refuses an invalid graph before the weights' graph is compared
+    rows = g._rows  # refuses an invalid graph before the weights' graph is compared
     if not _same_graph(g, req.a.graph):
         raise ValueError("weights live over a different graph")
     # The rounded sup - epsilon decides every weight but one equal to it,
     # which exceeds the exact value when the exact residual is negative.
     threshold = req.a.sup_norm - req.epsilon
-    first = [e for e in edges if (w := req.a(e.src)) > threshold or w == threshold
+    first = [e for e in rows if (w := req.a(e[1])) > threshold or w == threshold
              and fsum((req.a.sup_norm, -req.epsilon, -threshold)) < 0]
     if not first:
         return None

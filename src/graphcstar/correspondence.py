@@ -31,6 +31,7 @@ class VertexWeights(NamedTuple("VertexWeights", [
 
     __slots__ = ()
     __hash__ = None  # the weights are a dict; refused before hashing the graph
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_tuple_arithmetic
 
     def __new__(cls, graph: Graph, weights: dict[str, float]):
@@ -75,6 +76,7 @@ class PathVector(NamedTuple("PathVector", [
 
     __slots__ = ()
     __hash__ = None
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     __radd__ = __mul__ = _refuse_tuple_arithmetic
 
     def __new__(cls, graph: Graph, length: int, weights: dict[Path, complex]):

@@ -10,6 +10,10 @@ deterministic and reproducible across runs.
 A path ``e1 e2 ... en`` requires ``dst(e_i) == src(e_{i+1})``; its source is
 ``src(e1)`` and its range is ``dst(en)``.  A cycle is a path whose source
 equals its range.
+
+A :class:`Graph` keeps its edges as plain ``(id, src, dst)`` rows, which the
+garbage collector stops scanning after one pass (it never stops scanning an
+:class:`Edge`); its ``Edge`` views are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -81,22 +85,26 @@ class Graph:
 
     Construction does not validate; call :meth:`validate` to collect every
     invariant violation, or build through :meth:`checked` to raise on the
-    first invalid input.  Reading :attr:`vertices` or :attr:`edges`, which
+    first invalid input.  Reading :attr:`vertices` or the edges, which
     every operation does, raises :class:`InvalidGraphError` on an invalid
     graph; an operation also given a bad argument may raise that ValueError
     first.  Instances are immutable and safe to share between threads.
     Equality, hashing, the repr and pickling use the unchecked ``(vertices,
-    edges)``.
+    edges)``.  An :class:`Edge` or a plain ``(id, src, dst)`` tuple is stored
+    as given, any other sequence as an ``Edge``; :attr:`edges`,
+    :meth:`out_edges` and :attr:`edge_map` hold ``Edge`` objects, built on
+    their first read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
         # Written past __setattr__, which refuses; the cached_property
         # fields and indexes are stored in the same __dict__.
         vars(self).update(_vertices=tuple(vertices), _edges=tuple(
-            e if type(e) is Edge else Edge(*e) for e in edges))
+            e if type(e) is tuple and len(e) == 3 or type(e) is Edge else Edge(*e)
+            for e in edges))
 
     @classmethod
-    def _proven(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "Graph":
+    def _proven(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]) -> "Graph":
         """A graph over parts its caller has proven valid: unique vertex ids,
         unique edge ids and declared endpoints.  The tuples are stored as
         given and the ok verdict is recorded, so neither is checked again."""
@@ -108,9 +116,9 @@ class Graph:
     __delattr__ = _refuse_deletion
 
     def __reduce__(self):
-        # By value: a pickle or copy carries no memoised index or verdict,
-        # and is checked on its first read.
-        return Graph, (self._vertices, self._edges)
+        # By value, with plain rows: a pickle or copy carries no memoised
+        # index or verdict, and is checked on its first read.
+        return Graph, (self._vertices, tuple(map(tuple, self._edges)))
 
     # Cached only once the check passes, after which a read is a plain
     # attribute lookup; an invalid graph raises on every read.
@@ -120,12 +128,18 @@ class Graph:
         return self._vertices
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
+    def _rows(self) -> tuple[tuple[str, str, str], ...]:
         self.require_valid()
         return self._edges
 
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        rows = self._rows  # all Edges for a power graph, kept as the view
+        return rows if all(type(e) is Edge for e in rows) else tuple(
+            e if type(e) is Edge else Edge._make(e) for e in rows)
+
     def __repr__(self) -> str:
-        return f"Graph(vertices={self._vertices!r}, edges={self._edges!r})"
+        return f"Graph(vertices={self._vertices!r}, edges={tuple(map(Edge._make, self._edges))!r})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -154,18 +168,18 @@ class Graph:
                 issues.append(ValidationIssue("duplicate id", v, f"duplicate vertex id {v!r}"))
             seen_v.add(v)
         seen_e: set[str] = set()
-        for e in self._edges:
-            if e.id in seen_e:
-                issues.append(ValidationIssue("duplicate id", e.id, f"duplicate edge id {e.id!r}"))
-            seen_e.add(e.id)
-            if e.src not in seen_v:
+        for eid, src, dst in self._edges:
+            if eid in seen_e:
+                issues.append(ValidationIssue("duplicate id", eid, f"duplicate edge id {eid!r}"))
+            seen_e.add(eid)
+            if src not in seen_v:
                 issues.append(ValidationIssue(
-                    "dangling endpoint", e.id,
-                    f"edge {e.id!r} has undeclared src vertex {e.src!r}"))
-            if e.dst not in seen_v:
+                    "dangling endpoint", eid,
+                    f"edge {eid!r} has undeclared src vertex {src!r}"))
+            if dst not in seen_v:
                 issues.append(ValidationIssue(
-                    "dangling endpoint", e.id,
-                    f"edge {e.id!r} has undeclared dst vertex {e.dst!r}"))
+                    "dangling endpoint", eid,
+                    f"edge {eid!r} has undeclared dst vertex {dst!r}"))
         return ValidationResult(tuple(issues))
 
     @cached_property
@@ -176,7 +190,7 @@ class Graph:
         if not self._validation.ok:
             raise InvalidGraphError(self._validation)
 
-    # Index structures below read the checked fields.
+    # Index structures below read the checked fields; private ones hold rows.
 
     @cached_property
     def vertex_pos(self) -> dict[str, int]:
@@ -187,17 +201,21 @@ class Graph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def _out(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.src].append(e)
+    def _row_of(self) -> dict[str, tuple[str, str, str]]:
+        return {e[0]: e for e in self._rows}
+
+    @cached_property
+    def _out(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
+        out: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
+        for e in self._rows:
+            out[e[1]].append(e)
         return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
-    def _in(self) -> dict[str, tuple[Edge, ...]]:
-        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.dst].append(e)
+    def _in(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
+        inc: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
+        for e in self._rows:
+            inc[e[2]].append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
     @cached_property
@@ -222,8 +240,7 @@ class Graph:
             work = [(root, iter(self._out[root]))]
             while work:
                 v, edges = work[-1]
-                for e in edges:
-                    w = e.dst
+                for _, _, w in edges:
                     if w not in index:
                         index[w] = low[w] = len(index)
                         stack.append(w)
@@ -253,7 +270,7 @@ class Graph:
         """Edges emitted at ``v``, in declaration order."""
         if v not in self.vertex_pos:
             raise ValueError(f"unknown vertex {v!r}")
-        return self._out[v]
+        return tuple(self.edge_map[e[0]] for e in self._out[v])
 
     def adjacency_matrix(self) -> list[list[int]]:
         """Integer matrix ``M[i][j]`` = number of edges from vertex i to vertex j.
@@ -265,8 +282,8 @@ class Graph:
         pos = self.vertex_pos
         n = len(self.vertices)
         m = [[0] * n for _ in range(n)]
-        for e in self.edges:
-            m[pos[e.src]][pos[e.dst]] += 1
+        for _, src, dst in self._rows:
+            m[pos[src]][pos[dst]] += 1
         return m
 
     def path(self, edge_ids: Iterable[str]) -> "Path":
@@ -278,14 +295,14 @@ class Graph:
         if not ids:
             raise ValueError("path needs at least one edge")
         for eid in ids:
-            if eid not in self.edge_map:
+            if eid not in self._row_of:
                 raise ValueError(f"unknown edge {eid!r}")
         for i in range(len(ids) - 1):
-            a, b = self.edge_map[ids[i]], self.edge_map[ids[i + 1]]
-            if a.dst != b.src:
+            (a, _, a_dst), (b, b_src, _) = self._row_of[ids[i]], self._row_of[ids[i + 1]]
+            if a_dst != b_src:
                 raise ValueError(
                     f"edges do not compose at position {i + 1}: "
-                    f"{a.id!r} ends at {a.dst!r} but {b.id!r} starts at {b.src!r}")
+                    f"{a!r} ends at {a_dst!r} but {b!r} starts at {b_src!r}")
         return Path(self, ids)
 
 
@@ -330,11 +347,11 @@ class Path:
 
     @property
     def source(self) -> str:
-        return self.graph.edge_map[self.edges[0]].src
+        return self.graph._row_of[self.edges[0]][1]
 
     @property
     def range(self) -> str:
-        return self.graph.edge_map[self.edges[-1]].dst
+        return self.graph._row_of[self.edges[-1]][2]
 
     def is_cycle(self) -> bool:
         return self.source == self.range
@@ -379,14 +396,14 @@ def paths_of_length(
     src_filter = _vertex_set(g, from_vertices)
     dst_filter = _vertex_set(g, to_vertices)
 
-    first = [e for e in g.edges if src_filter is None or e.src in src_filter]
+    first = [e for e in g._rows if src_filter is None or e[1] in src_filter]
     return [
         Path(g, seq) for seq in _walks(g, n, first)
-        if dst_filter is None or g.edge_map[seq[-1]].dst in dst_filter
+        if dst_filter is None or g._row_of[seq[-1]][2] in dst_filter
     ]
 
 
-def _walks(g: Graph, n: int, first: Iterable[Edge]) -> Iterator[tuple[str, ...]]:
+def _walks(g: Graph, n: int, first: Iterable[tuple[str, str, str]]) -> Iterator[tuple[str, ...]]:
     """Edge-id tuples of the length-``n`` paths (``n >= 1``) whose first edge
     is in ``first``, yielded lazily.
 
@@ -399,13 +416,13 @@ def _walks(g: Graph, n: int, first: Iterable[Edge]) -> Iterator[tuple[str, ...]]
     trail: list[str] = []
     stack = [iter(first)]
     while stack:
-        for e in stack[-1]:
-            trail.append(e.id)
+        for eid, _, dst in stack[-1]:
+            trail.append(eid)
             if len(trail) == n:
                 yield tuple(trail)
                 trail.pop()
             else:
-                stack.append(iter(out[e.dst]))
+                stack.append(iter(out[dst]))
                 break
         else:
             stack.pop()
@@ -490,7 +507,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     alive = [frozenset(g.vertices)]
     while len(alive) < n:
         live = alive[-1]
-        shorter = frozenset(e.src for e in g.edges if e.dst in live)
+        shorter = frozenset(src for _, src, dst in g._rows if dst in live)
         if shorter == live:
             break
         alive.append(shorter)
@@ -509,7 +526,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
         if found is None:
             if k == 1:
                 live = alive[key[1]]
-                found = [("." + e.id, e.dst) for e in out[v] if e.dst in live]
+                found = [("." + eid, dst) for eid, _, dst in out[v] if dst in live]
             else:
                 a = k // 2
                 found = [(s + t, end) for s, m in tails(a, r + k - a, v)
@@ -522,15 +539,15 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     first = alive[min(n - 1, last)]
     new = tuple.__new__
     edges = tuple(
-        new(Edge, (head + t, e.src, end))
-        for e in g.edges if e.dst in first
-        for s, m in tails(a, b, e.dst)
-        for head in (e.id + s,)
+        new(Edge, (head + t, src, end))
+        for eid, src, dst in g._rows if dst in first
+        for s, m in tails(a, b, dst)
+        for head in (eid + s,)
         for t, end in tails(b, 0, m))
     memo.clear()
     # Endpoints are declared by construction, and joined ids can only
     # collide when some edge id contains the "." separator.
-    if not any("." in e.id for e in g.edges):
+    if not any("." in eid for eid, _, _ in g._rows):
         return Graph._proven(g.vertices, edges)
     result = Graph(g.vertices, edges)
     check = result._validation
@@ -553,10 +570,10 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     O(V^3 log n).  The recurrence runs when n E <= V^3 (floor(log2 n) + 1).
     """
     vertices = g.vertices
-    if n * len(g.edges) <= len(vertices) ** 3 * n.bit_length():
+    if n * len(g._rows) <= len(vertices) ** 3 * n.bit_length():
         top = inf if ceiling is None else ceiling
         pos = g.vertex_pos
-        succ = [[pos[e.dst] for e in g._out[v]] for v in vertices]
+        succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
         counts = [1] * len(vertices)
         for _ in range(n):
             counts = [min(top, sum([counts[j] for j in s])) for s in succ]
@@ -598,8 +615,7 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
         back: set[str] = set()
         todo = [base]
         while todo:
-            for e in inc[todo.pop()]:
-                u = e.src
+            for _, u, _ in inc[todo.pop()]:
                 if u not in back and pos[u] > base_pos:
                     back.add(u)
                     todo.append(u)
@@ -611,16 +627,15 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
         on_trail = {base}
         stack = [iter(out[base])]
         while stack:
-            for e in stack[-1]:
-                w = e.dst
+            for eid, _, w in stack[-1]:
                 if w == base:
-                    trail.append(e.id)
+                    trail.append(eid)
                     result.append(Path(g, tuple(trail)))
                     trail.pop()
                     if len(result) > cap:
                         raise CapExceeded(f"cycle enumeration exceeds cap {cap}")
                 elif w in back and w not in on_trail:
-                    trail.append(e.id)
+                    trail.append(eid)
                     reached.append(w)
                     on_trail.add(w)
                     stack.append(iter(out[w]))
@@ -646,8 +661,8 @@ def cycle_exits(g: Graph, cycle: Path) -> list[str]:
         raise ValueError("not a cycle: source differs from range")
     used_at: dict[str, set[str]] = {}
     for eid in cycle.edges:
-        used_at.setdefault(g.edge_map[eid].src, set()).add(eid)
-    return [f.id for f in g.edges if f.src in used_at and used_at[f.src] != {f.id}]
+        used_at.setdefault(g._row_of[eid][1], set()).add(eid)
+    return [fid for fid, src, _ in g._rows if src in used_at and used_at[src] != {fid}]
 
 
 def connectivity(g: Graph) -> Connectivity:
@@ -666,14 +681,14 @@ def connectivity(g: Graph) -> Connectivity:
     stack = [g.vertices[0]]
     while stack:
         v = stack.pop()
-        for e in out[v]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-        for e in inc[v]:
-            if e.src not in seen:
-                seen.add(e.src)
-                stack.append(e.src)
+        for _, _, w in out[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+        for _, u, _ in inc[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
     weak = len(seen) == len(g.vertices)
 
     # One component reaches itself by a path of length at least one exactly

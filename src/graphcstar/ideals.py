@@ -33,14 +33,14 @@ KINDS = ("hereditary", "saturated_hereditary")
 def is_hereditary(g: Graph, members: Iterable[str]) -> bool:
     """Whether every edge emitted in the subset is also received in it."""
     s = _vertex_set(g, members)
-    return all(e.dst in s for e in g.edges if e.src in s)
+    return all(dst in s for _, src, dst in g._rows if src in s)
 
 
 def is_saturated(g: Graph, members: Iterable[str]) -> bool:
     """Whether every non-sink vertex feeding entirely into the subset belongs
     to it."""
     s = _vertex_set(g, members)
-    return not any(out and v not in s and all(e.dst in s for e in out)
+    return not any(out and v not in s and all(dst in s for _, _, dst in out)
                    for v, out in g._out.items())
 
 
@@ -62,9 +62,8 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
         if v in current:
             continue
         current.add(v)
-        work.extend(e.dst for e in g._out[v] if e.dst not in current)
-        for e in g._in[v]:
-            u = e.src
+        work.extend(dst for _, _, dst in g._out[v] if dst not in current)
+        for _, u, _ in g._in[v]:
             outside[u] -= 1
             if not outside[u] and u not in current:
                 work.append(u)
@@ -130,8 +129,8 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
         targets = 0
         for v in members:
             own |= 1 << pos[v]
-            for e in g._out[v]:
-                targets |= 1 << pos[e.dst]
+            for _, _, w in g._out[v]:
+                targets |= 1 << pos[w]
         # Edges leaving a component land in earlier ones, already decided.
         need = targets & ~own
         if saturated and need == targets != 0:  # one vertex, no loop

@@ -26,7 +26,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 if TYPE_CHECKING:
     from .verdicts import AnalysisReport
@@ -91,7 +91,7 @@ def parse_dsl(text: str) -> Graph:
     """
     diags: list[Diagnostic] = []
     vertex_lines: dict[str, int] = {}
-    edges: list[Edge] = []
+    edges: list[tuple[str, str, str]] = []
     edge_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -103,7 +103,7 @@ def parse_dsl(text: str) -> Graph:
         if word == "edge" and len(tokens) == 4:
             _, eid, src, dst = tokens
             if eid not in edge_lines and src in vertex_lines and dst in vertex_lines:
-                edges.append(Edge(eid, src, dst))
+                edges.append((eid, src, dst))
                 edge_lines[eid] = lineno
                 continue
             _, ecol, scol, dcol = _columns(line)
@@ -157,11 +157,11 @@ def serialize_dsl(g: Graph) -> str:
     Ids containing whitespace or '#' cannot be written in this format and
     raise ValueError; use the JSON form for such graphs.
     """
-    for name in (*g.vertices, *(e.id for e in g.edges)):
+    for name in (*g.vertices, *(e[0] for e in g._rows)):
         if not _DSL_ID.match(name):
             raise ValueError(f"id {name!r} cannot be written in the DSL")
     lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.id} {e.src} {e.dst}" for e in g.edges]
+    lines += [f"edge {eid} {src} {dst}" for eid, src, dst in g._rows]
     return "\n".join(lines) + "\n"
 
 
@@ -208,7 +208,7 @@ def parse_json(document: Union[str, dict]) -> Graph:
             else:
                 vertices.append(v)
 
-    edges: list[Edge] = []
+    edges: list[tuple[str, str, str]] = []
     if not isinstance(document["edges"], list):
         diags.append(Diagnostic("schema", "must be an array", path="edges"))
     else:
@@ -221,7 +221,7 @@ def parse_json(document: Union[str, dict]) -> Graph:
             if len(e) == 3:
                 eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
                 if isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str):
-                    edges.append(Edge(eid, src, dst))
+                    edges.append((eid, src, dst))
                     continue
             for key in e:
                 if key not in ("id", "src", "dst"):
@@ -245,14 +245,14 @@ def parse_json(document: Union[str, dict]) -> Graph:
                 diags.append(Diagnostic("semantic", f"duplicate vertex id {v!r}", path=f"vertices[{i}]"))
             seen_v.add(v)
         seen_e: set[str] = set()
-        for i, e in enumerate(edges):
-            if e.id in seen_e:
-                diags.append(Diagnostic("semantic", f"duplicate edge id {e.id!r}", path=f"edges[{i}].id"))
-            seen_e.add(e.id)
-            if e.src not in declared:
-                diags.append(Diagnostic("semantic", f"undeclared vertex {e.src!r}", path=f"edges[{i}].src"))
-            if e.dst not in declared:
-                diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
+        for i, (eid, src, dst) in enumerate(edges):
+            if eid in seen_e:
+                diags.append(Diagnostic("semantic", f"duplicate edge id {eid!r}", path=f"edges[{i}].id"))
+            seen_e.add(eid)
+            if src not in declared:
+                diags.append(Diagnostic("semantic", f"undeclared vertex {src!r}", path=f"edges[{i}].src"))
+            if dst not in declared:
+                diags.append(Diagnostic("semantic", f"undeclared vertex {dst!r}", path=f"edges[{i}].dst"))
         _raise(diags)
 
     return Graph._proven(tuple(vertices), tuple(edges))
@@ -308,7 +308,7 @@ def serialize_json(g: Graph) -> dict:
     documents, including key order."""
     return {
         "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
+        "edges": [{"id": eid, "src": src, "dst": dst} for eid, src, dst in g._rows],
     }
 
 
@@ -347,18 +347,19 @@ def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
             for v in s)
         header.append(f"  // simplicity: {report.simplicity}")
 
+    quoted = {v: _dot_quote(v) for v in g.vertices}
     lines = ["digraph G {"]
     lines += header
-    for v in g.vertices:
+    for v, name in quoted.items():
         attrs = ""
         if v in marked_vertices:
             attrs = " [style=filled, fillcolor=lightgrey]"
-        lines.append(f"  {_dot_quote(v)}{attrs};")
-    for e in g.edges:
-        attrs = [f"label={_dot_quote(e.id)}"]
-        if e.id in cycle_edges:
+        lines.append(f"  {name}{attrs};")
+    for eid, src, dst in g._rows:
+        attrs = [f"label={_dot_quote(eid)}"]
+        if eid in cycle_edges:
             attrs.append("color=red")
         lines.append(
-            f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)} [{', '.join(attrs)}];")
+            f"  {quoted[src]} -> {quoted[dst]} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

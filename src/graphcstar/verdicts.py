@@ -216,7 +216,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     """Deterministic plain-data form of a report, for structured output."""
     g = report.graph
     return {
-        "graph": {"vertices": len(g.vertices), "edges": len(g.edges)},
+        "graph": {"vertices": len(g.vertices), "edges": len(g._rows)},
         "flags": report.flags._asdict(),
         "condition_S_reason": report.condition_S_reason,
         "simplicity": report.simplicity,

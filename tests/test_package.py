@@ -3,7 +3,9 @@
 
 import copy
 import doctest
+import gc
 import importlib
+import json
 import os
 import pickle
 import subprocess
@@ -319,6 +321,78 @@ def test_weights_and_vectors_do_not_repeat_as_tuples():
                       lambda: 2 * a, lambda: a + a, lambda: (1,) + a):
         with pytest.raises(TypeError):
             operation()
+
+
+def test_make_and_replace_check_their_fields():
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    a = VertexWeights(g, {"u": 1.0})
+    request = WitnessRequest(a, 0, 0.5, 3)
+    for build, message in [
+        (lambda: a._replace(weights={"u": -1.0}), "negative weight"),
+        (lambda: VertexWeights._make((g, {"zz": float("nan")})), "unknown vertex 'zz'"),
+        (lambda: request._replace(n=-5), "n must be nonnegative"),
+        (lambda: PathVector._make((g, 0, {})), "length at least 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert a._replace(weights={"u": 2}) == VertexWeights(g, {"u": 2.0})
+    assert request._replace(n=1) == WitnessRequest._make((a, 1, 0.5, 3))
+
+
+# A graph with an exitless loop (c) and a nontrivial saturated hereditary
+# set ({w}), so a report marks both in DOT.
+_DECLARED = (("a", "u", "u"), ("b", "u", "w"), ("c", "w", "w"))
+_DSL = "vertex u\nvertex w\n" + "".join(f"edge {e} {s} {d}\n" for e, s, d in _DECLARED)
+
+
+def test_graphs_store_rows_the_collector_drops():
+    # CPython stops scanning a tuple of untracked items, such as strings,
+    # once a collection has passed over it; it never stops scanning a tuple
+    # subclass such as Edge.
+    document = json.dumps({"vertices": ["u", "w"],
+                           "edges": [dict(zip(("id", "src", "dst"), e)) for e in _DECLARED]})
+    graphs = [graphcstar.parse_dsl(_DSL), graphcstar.parse_json(document),
+              Graph(("u", "w"), list(_DECLARED))]
+    for g in graphs:
+        graphcstar.connectivity(g)  # builds _out and _in
+    gc.collect()
+    gc.collect()
+    for g in graphs:
+        held = [*g._rows, *g._out.values(), *g._in.values()]
+        assert len(held) == 7 and not any(map(gc.is_tracked, held))
+
+
+def test_no_operation_builds_the_edge_view():
+    g = graphcstar.parse_dsl(_DSL)
+    report = classify(g)
+    graphcstar.report_to_dict(report)
+    assert "color=red" in graphcstar.emit_dot(report) and "lightgrey" in graphcstar.emit_dot(report)
+    graphcstar.emit_dot(g)
+    graphcstar.serialize_dsl(g)
+    graphcstar.serialize_json(g)
+    graphcstar.vertex_classes(g)
+    graphcstar.periodicity(g)
+    graphcstar.periodicity(g, method="direct-power")
+    graphcstar.condition_L(g)
+    graphcstar.condition_S(g)
+    graphcstar.connectivity(g)
+    graphcstar.saturated_hereditary_closure(g, ["w"])
+    lattice(g, "hereditary")
+    lattice(g, "saturated_hereditary")
+    graphcstar.count_paths(g, 3)
+    graphcstar.power_graph(g, 3)
+    graphcstar.simple_cycles(g)
+    assert graphcstar.find_witness(g, WitnessRequest(VertexWeights(g, {"u": 1.0}), 0, 0.5, 4))
+    assert "edges" not in vars(g) and "edge_map" not in vars(g)
+
+    # The views hold Edges equal to the declared triples.
+    assert g.out_edges("u") == _DECLARED[:2] and g.out_edges("u")[1] is g.edges[1]
+    assert g.edges == _DECLARED and g.edge_map == {e[0]: e for e in _DECLARED}
+    assert all(type(e) is Edge for e in (*g.edges, *g.edge_map.values()))
+    # A graph of Edges over the same strings is the same value.
+    h = Graph(g.vertices, [Edge(*e) for e in g._rows])
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert pickle.dumps(g) == pickle.dumps(h)
 
 
 def test_report_lists_its_lattices_on_each_read():
