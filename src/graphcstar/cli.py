@@ -171,9 +171,8 @@ _KIND_BY_FLAG = {"hereditary": "hereditary", "satHer": "saturated_hereditary"}
 
 
 def _cmd_ideals(g: Graph, args) -> str:
-    from .ideals import lattice
-    lat = lattice(g, _KIND_BY_FLAG[args.kind], cap=_vertex_cap(args))
-    subsets = [sorted(s, key=g.vertex_pos.__getitem__) for s in lat.elements]
+    from .ideals import _listings
+    (subsets,) = _listings(g, (_KIND_BY_FLAG[args.kind],), _vertex_cap(args))
     if args.format == "json":
         return _json_text(subsets)
     return "".join(_subset_str(s) + "\n" for s in subsets)

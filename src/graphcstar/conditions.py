@@ -106,7 +106,7 @@ class ConditionS(NamedTuple):
 def condition_S(g: Graph) -> ConditionS:
     """Decide Condition (S): holds iff the graph has no sinks and satisfies
     Condition (L).  Sinks are reported first."""
-    if any(not g._out[v] for v in g.vertices):
+    if len(g._emitters) < len(g.vertices):
         return ConditionS(False, "has_sinks")
     return _condition_S(False, condition_L(g))
 
@@ -129,18 +129,18 @@ class PeriodicityVerdict(NamedTuple):
     searched_bound: Optional[int] = None
 
 
-def _cycle_lengths(g: Graph) -> list[int]:
-    # Assumes unit in- and out-degrees: the out-edges form a permutation.
+def _cycle_lengths(succ: dict[str, str]) -> list[int]:
+    # ``succ`` maps each vertex to its one out-edge's target: a permutation.
     lengths = []
     seen: set[str] = set()
-    for v in g.vertices:
+    for v in succ:
         if v in seen:
             continue
         length = 0
         u = v
         while u not in seen:
             seen.add(u)
-            u = g._out[u][0][2]
+            u = succ[u]
             length += 1
         lengths.append(length)
     return lengths
@@ -148,7 +148,7 @@ def _cycle_lengths(g: Graph) -> list[int]:
 
 def is_disjoint_cycles(g: Graph) -> bool:
     """Whether every vertex has in-degree and out-degree exactly one."""
-    return all(len(g._out[v]) == 1 and len(g._in[v]) == 1 for v in g.vertices)
+    return len(g._rows) == len(g.vertices) == len(g._emitters) == len(g._receivers)
 
 
 def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = None) -> PeriodicityVerdict:
@@ -174,7 +174,8 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
         raise ValueError("empty graph")
     if method == "structural":
         if is_disjoint_cycles(g):
-            return PeriodicityVerdict(True, lcm(*_cycle_lengths(g)), "structural")
+            succ = {src: dst for _, src, dst in g._rows}
+            return PeriodicityVerdict(True, lcm(*_cycle_lengths(succ)), "structural")
         return PeriodicityVerdict(False, None, "structural")
     if method != "direct-power":
         raise ValueError(f"unknown method {method!r}")
@@ -183,12 +184,13 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
         # loops iff the n-th power of the permutation, formed by O(log n)
         # compositions, is the identity.  The least such n is the lcm L of
         # the cycle lengths iff the L-th power is and no (L/p)-th is, p prime.
-        lengths = _cycle_lengths(g)
+        succ = {src: dst for _, src, dst in g._rows}
+        lengths = _cycle_lengths(succ)
         bound = lcm(*lengths)
-        succ = [g.vertex_pos[g._out[v][0][2]] for v in g.vertices]
+        perm = [g.vertex_pos[succ[v]] for v in g.vertices]
 
         def is_identity(k: int) -> bool:
-            return _power(succ, k, lambda a, b: [a[j] for j in b]) == list(range(len(succ)))
+            return _power(perm, k, lambda a, b: [a[j] for j in b]) == list(range(len(perm)))
 
         primes = {p for k in set(lengths) for p in range(2, k + 1)
                   if k % p == 0 and all(p % q for q in range(2, p))}

@@ -14,12 +14,15 @@ equals its range.
 A :class:`Graph` keeps its edges as plain ``(id, src, dst)`` rows, which the
 garbage collector stops scanning after one pass (it never stops scanning an
 :class:`Edge`); its ``Edge`` views are built only when a caller reads them.
+Sinks, sources and unit degrees are read from two sets built in C from the
+rows, the vertices that emit an edge and those that receive one; only the
+routines that walk edges build per-vertex edge lists.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import inf
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_POWER_CAP = 10**6
@@ -80,6 +83,21 @@ def _refuse_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _memoised:
+    """A field built on its first read and stored in the instance dict, where
+    later reads find it.  Unlike ``functools.cached_property`` on Python 3.11
+    it takes no lock: racing threads build equal values.  A raise stores nothing."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        value = vars(g)[self.name] = self.build(g)
+        return value
+
+
 class Graph:
     """A finite directed multigraph with named vertices and edges.
 
@@ -97,8 +115,8 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
-        # Written past __setattr__, which refuses; the cached_property
-        # fields and indexes are stored in the same __dict__.
+        # Written past __setattr__, which refuses; the memoised fields and
+        # indexes are stored in the same __dict__.
         vars(self).update(_vertices=tuple(vertices), _edges=tuple(
             e if type(e) is tuple and len(e) == 3 or type(e) is Edge else Edge(*e)
             for e in edges))
@@ -122,17 +140,17 @@ class Graph:
 
     # Cached only once the check passes, after which a read is a plain
     # attribute lookup; an invalid graph raises on every read.
-    @cached_property
+    @_memoised
     def vertices(self) -> tuple[str, ...]:
         self.require_valid()
         return self._vertices
 
-    @cached_property
+    @_memoised
     def _rows(self) -> tuple[tuple[str, str, str], ...]:
         self.require_valid()
         return self._edges
 
-    @cached_property
+    @_memoised
     def edges(self) -> tuple[Edge, ...]:
         rows = self._rows  # all Edges for a power graph, kept as the view
         return rows if all(type(e) is Edge for e in rows) else tuple(
@@ -182,7 +200,7 @@ class Graph:
                     f"edge {eid!r} has undeclared dst vertex {dst!r}"))
         return ValidationResult(tuple(issues))
 
-    @cached_property
+    @_memoised
     def _validation(self) -> ValidationResult:
         return self.validate()
 
@@ -192,33 +210,41 @@ class Graph:
 
     # Index structures below read the checked fields; private ones hold rows.
 
-    @cached_property
+    @_memoised
     def vertex_pos(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
+    @_memoised
     def edge_map(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
-    @cached_property
+    @_memoised
     def _row_of(self) -> dict[str, tuple[str, str, str]]:
         return {e[0]: e for e in self._rows}
 
-    @cached_property
+    @_memoised
     def _out(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
         out: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
         for e in self._rows:
             out[e[1]].append(e)
         return {v: tuple(es) for v, es in out.items()}
 
-    @cached_property
+    @_memoised
     def _in(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
         inc: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
         for e in self._rows:
             inc[e[2]].append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
-    @cached_property
+    @_memoised
+    def _emitters(self) -> frozenset[str]:
+        return frozenset(map(itemgetter(1), self._rows))
+
+    @_memoised
+    def _receivers(self) -> frozenset[str]:
+        return frozenset(map(itemgetter(2), self._rows))
+
+    @_memoised
     def _components(self) -> tuple[tuple[str, ...], ...]:
         """Strongly connected components in reverse topological order: every
         edge leaving a component lands in an earlier one.
@@ -373,10 +399,8 @@ class Connectivity(NamedTuple):
 
 def vertex_classes(g: Graph) -> VertexClasses:
     """Partition information: sinks, sources, and regular (non-sink) vertices."""
-    sinks = frozenset(v for v in g.vertices if not g._out[v])
-    sources = frozenset(v for v in g.vertices if not g._in[v])
-    regular = frozenset(v for v in g.vertices if g._out[v])
-    return VertexClasses(sinks, sources, regular)
+    vs = frozenset(g.vertices)
+    return VertexClasses(vs - g._emitters, vs - g._receivers, g._emitters)
 
 
 def paths_of_length(

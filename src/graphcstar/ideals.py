@@ -9,14 +9,17 @@ empty set and the full vertex set) means no nontrivial invariant ideals.
 
 Subsets are plain frozensets of vertex ids.  A hereditary subset is a union
 of strongly connected components that contains every component reachable
-from it, so :func:`lattice` enumerates such unions over the condensation of
-the graph: every step of the enumeration yields an element, and the cost
+from it, so the lattices are enumerated as such unions over the condensation
+of the graph: every step of the enumeration yields an element, and the cost
 grows with the size of the lattice, not with the 2^n subsets; the saturated
-ones are listed in the same pass, not filtered.  Listing still
-refuses graphs beyond a configurable vertex cap; the verdicts only ask
-whether a lattice is trivial, which :func:`_trivial_flags` reads from the
-condensation at any size.  :func:`lattice_bruteforce` checks all 2^n subsets
-and is kept as the reference the tests compare against.
+ones are listed as they are built, not filtered.  :func:`_listings` lists
+either kind or both in one pass, each element as its vertices in declaration
+order, which a report prints as they come and :func:`lattice` wraps in
+frozensets.  Listing still refuses graphs beyond a configurable vertex cap;
+the verdicts only ask whether a lattice is trivial, which
+:func:`_trivial_flags` reads from the condensation at any size.
+:func:`lattice_bruteforce` checks all 2^n subsets and is kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -120,10 +123,17 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
     Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices;
     no partial lattice is returned.  Only listings are capped; no verdict lists.
     """
-    _check_lattice_args(g, kind, cap)
-    saturated = kind == "saturated_hereditary"
+    (listed,) = _listings(g, (kind,), cap)
+    return SubsetLattice(g, kind, tuple(map(frozenset, listed)))
+
+
+def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str]], ...]:
+    """Each lattice of ``kinds`` in :func:`lattice`'s order and one pass over
+    the components, an element listed as its vertices in declaration order."""
+    for kind in kinds:
+        _check_lattice_args(g, kind, cap)
     pos = g.vertex_pos
-    masks = [0]
+    masks = {kind: [0] for kind in kinds}
     for members in g._components:
         own = 0
         targets = 0
@@ -133,17 +143,14 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
                 targets |= 1 << pos[w]
         # Edges leaving a component land in earlier ones, already decided.
         need = targets & ~own
-        if saturated and need == targets != 0:  # one vertex, no loop
-            masks = [m | own if m & need == need else m for m in masks]
-        else:
-            masks += [m | own for m in masks if m & need == need]
-    masks.sort()
+        for kind, found in masks.items():
+            if kind == "saturated_hereditary" and need == targets != 0:  # one vertex, no loop
+                found[:] = [m | own if m & need == need else m for m in found]
+            else:
+                found += [m | own for m in found if m & need == need]
     vs = g.vertices
-    elements = []
-    for mask in masks:
-        bits = bin(mask)[:1:-1]  # bit i at index i
-        elements.append(frozenset(v for v, b in zip(vs, bits) if b == "1"))
-    return SubsetLattice(g, kind, tuple(elements))
+    return tuple([[v for v, b in zip(vs, bin(mask)[:1:-1]) if b == "1"]  # bit i at index i
+                  for mask in sorted(found)] for found in masks.values())
 
 
 def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattice:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
 from .graphs import Graph, InternalInvariantError, Path, vertex_classes
-from .ideals import DEFAULT_LATTICE_CAP, SubsetLattice, _trivial_flags, lattice
+from .ideals import DEFAULT_LATTICE_CAP, KINDS, SubsetLattice, _listings, _trivial_flags, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -208,13 +208,10 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     )
 
 
-def _subset_sorted(g: Graph, s: frozenset[str]) -> list[str]:
-    return sorted(s, key=g.vertex_pos.__getitem__)
-
-
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Deterministic plain-data form of a report, for structured output."""
+    """Deterministic plain-data form of a report; lists both lattices in one pass."""
     g = report.graph
+    hereditary, saturated = _listings(g, KINDS, report.cap)
     return {
         "graph": {"vertices": len(g.vertices), "edges": len(g._rows)},
         "flags": report.flags._asdict(),
@@ -229,7 +226,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "citations": list(report.citations),
         "minimal_period": report.minimal_period,
         "violating_cycle": list(report.violating_cycle.edges) if report.violating_cycle else None,
-        "hereditary_lattice": [_subset_sorted(g, s) for s in report.hereditary_lattice.elements],
-        "saturated_hereditary_lattice": [
-            _subset_sorted(g, s) for s in report.saturated_hereditary_lattice.elements],
+        "hereditary_lattice": hereditary,
+        "saturated_hereditary_lattice": saturated,
     }

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from graphcstar import (
+    ConditionS,
     Graph,
+    PeriodicityVerdict,
+    VertexClasses,
     VertexWeights,
     WitnessRequest,
     condition_L,
@@ -21,6 +24,7 @@ from graphcstar import (
     paths_of_length,
     periodicity,
     sup_norm,
+    vertex_classes,
 )
 from graphcstar.correspondence import PathVector
 from graphcstar.conditions import is_returning as _is_returning
@@ -251,6 +255,102 @@ def test_periodicity_methods_agree_on_every_small_graph():
             assert (s.periodic, s.minimal_period) == (d.periodic, d.minimal_period), g
             periodic += s.periodic
     assert 0 < periodic < 4388
+
+
+# -- degree facts against their per-vertex definitions ------------------------
+# The package reads sinks, sources and unit degrees from the sets of vertices
+# that emit and that receive an edge; these read each vertex's edge lists.
+
+def _classes_by_vertex(g):
+    out, inc = g._out, g._in
+    return VertexClasses(frozenset(v for v in g.vertices if not out[v]),
+                         frozenset(v for v in g.vertices if not inc[v]),
+                         frozenset(v for v in g.vertices if out[v]))
+
+
+def _disjoint_cycles_by_vertex(g):
+    return all(len(g._out[v]) == 1 and len(g._in[v]) == 1 for v in g.vertices)
+
+
+def _condition_S_by_vertex(g):
+    if any(len(g._out[v]) == 0 for v in g.vertices):
+        return ConditionS(False, "has_sinks")
+    return ConditionS(True, "ok") if condition_L(g).holds else ConditionS(False, "fails_L")
+
+
+def _periodicity_by_vertex(g):
+    if not _disjoint_cycles_by_vertex(g):
+        return PeriodicityVerdict(False, None, "structural")
+    lengths, seen = [], set()
+    for v in g.vertices:
+        length, u = 0, v
+        while u not in seen:
+            seen.add(u)
+            u = g._out[u][0][2]
+            length += 1
+        if length:
+            lengths.append(length)
+    return PeriodicityVerdict(True, math.lcm(*lengths), "structural")
+
+
+def _check_degree_facts(g):
+    """Each fast route on a fresh copy of ``g`` against its definition; the
+    fast routes must build no per-vertex edge list (Condition (S) does
+    only on a graph without sinks, where it decides Condition (L))."""
+    fresh = Graph(g._vertices, g._edges)
+    got = (vertex_classes(fresh), is_disjoint_cycles(fresh))
+    if fresh.vertices:
+        got += (periodicity(fresh),)
+    assert "_out" not in vars(fresh) and "_in" not in vars(fresh), g
+    cs = condition_S(fresh)
+    assert (cs.reason == "has_sinks") == ("_out" not in vars(fresh)), g
+    want = (_classes_by_vertex(g), _disjoint_cycles_by_vertex(g))
+    if g.vertices:
+        want += (_periodicity_by_vertex(g),)
+    assert got == want and cs == _condition_S_by_vertex(g), g
+
+
+def test_degree_facts_match_their_definitions_on_every_small_graph():
+    # The empty graph, then all 4,388 graphs of 1-4 vertices and at most 6
+    # edges, up to isomorphism.
+    _check_degree_facts(Graph((), ()))
+    for k in range(1, 5):
+        for g in iso_graphs(k, 6):
+            _check_degree_facts(g)
+
+
+def _sparse_families(n, rng):
+    """Graphs like the large sparse benchmark's: a cycle, disjoint cycles of
+    prime lengths, a chain into two loops, a cycle with chords, and an
+    out-tree with as many random edges, each over a shuffled vertex order."""
+    vs = tuple(f"v{i}" for i in range(n))
+    order = list(vs)
+    rng.shuffle(order)
+    ring = [(f"e{i}", order[i], order[(i + 1) % n]) for i in range(n)]
+    yield Graph(vs, ring)
+    cycles, at = [], 0
+    while at < n:
+        length = rng.choice([p for p in (2, 3, 5, 7, 11, 101, 997) if p <= n - at] or [n - at])
+        cycles += [(f"p{at + i}", order[at + i], order[at + (i + 1) % length])
+                   for i in range(length)]
+        at += length
+    yield Graph(vs, cycles)
+    yield Graph(vs, [(f"e{i}", order[i], order[i + 1]) for i in range(n - 1)]
+                + [("r0", order[-1], order[-1]), ("r1", order[-1], order[-1])])
+    yield Graph(vs, ring + [(f"c{i}", rng.choice(vs), rng.choice(vs)) for i in range(n // 2)])
+    tree = [(vs[rng.randrange(i)], vs[i]) for i in range(1, n)]
+    tree += [(rng.choice(vs), rng.choice(vs)) for _ in range(n)]
+    rng.shuffle(tree)
+    yield Graph(vs, [(f"e{i}", s, d) for i, (s, d) in enumerate(tree)])
+
+
+def test_degree_facts_match_their_definitions_on_large_sparse_graphs():
+    rng = random.Random(1501)
+    periodic = 0
+    for g in _sparse_families(10_000, rng):
+        _check_degree_facts(g)
+        periodic += periodicity(g).periodic
+    assert periodic == 2
 
 
 def test_witness_request_validation():

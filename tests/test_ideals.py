@@ -15,9 +15,11 @@ from graphcstar import (
     is_saturated,
     lattice,
     lattice_bruteforce,
+    report_to_dict,
     saturated_hereditary_closure,
     simplicity_verdict,
 )
+from graphcstar.ideals import KINDS
 
 from conftest import (
     chain_graph,
@@ -132,6 +134,20 @@ def test_lattice_matches_bruteforce_on_every_small_graph():
             assert fast == lattice_bruteforce(g, kind), (g, kind)
             sizes.add((kind, len(fast)))
     assert {n for kind, n in sizes if kind == "saturated_hereditary"} >= {2, 3, 4, 5}
+
+
+def test_report_lists_both_lattices_as_lattice_and_bruteforce_do():
+    # All 4,388 graphs of 1-4 vertices and at most 6 edges, up to
+    # isomorphism: a report lists each element as its vertices in
+    # declaration order.
+    for k in range(1, 5):
+        for g in iso_graphs(k, 6):
+            listed = report_to_dict(classify(g))
+            for kind in KINDS:
+                fast = lattice(g, kind)
+                assert fast == lattice_bruteforce(g, kind), (g, kind)
+                assert listed[f"{kind}_lattice"] == [
+                    sorted(s, key=g.vertex_pos.__getitem__) for s in fast.elements], (g, kind)
 
 
 def test_lattice_matches_bruteforce():

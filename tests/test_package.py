@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path as FsPath
 
 import pytest
@@ -395,6 +396,44 @@ def test_no_operation_builds_the_edge_view():
     assert pickle.dumps(g) == pickle.dumps(h)
 
 
+def test_degree_facts_build_no_edge_lists():
+    # The degree facts come from the sets of vertices that emit and that
+    # receive an edge; none of them lists each vertex's edges.
+    g = Graph(("u", "w"), (("a", "u", "u"), ("b", "u", "w")))  # w is a sink
+    assert graphcstar.vertex_classes(g) == ({"w"}, set(), {"u"})
+    assert graphcstar.periodicity(g) == (False, None, "structural", None)
+    assert not graphcstar.is_disjoint_cycles(g)
+    assert graphcstar.condition_S(g) == (False, "has_sinks")
+    assert "_out" not in vars(g) and "_in" not in vars(g)
+    assert vars(g)["_emitters"] == {"u"} and vars(g)["_receivers"] == {"u", "w"}
+
+
+def test_threads_reading_a_fresh_graph_agree():
+    vs = tuple(f"v{i}" for i in range(3000))
+    es = [(f"e{i}", v, vs[(i * 7 + 1) % len(vs)]) for i, v in enumerate(vs)]
+    g = Graph(vs, es)
+    start = threading.Barrier(8)
+    seen = [None] * 8
+
+    def read(i):
+        start.wait(timeout=60)
+        seen[i] = g._components
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-build
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = Graph(vs, es)._components
+    assert all(components == want for components in seen) and g._components in seen
+
+
 def test_report_lists_its_lattices_on_each_read():
     report = classify(Graph(("u", "w"), (Edge("a", "u", "w"),)))
     first, second = report.hereditary_lattice, report.hereditary_lattice
@@ -463,6 +502,16 @@ REFUSING_CALLS = {
     "simplicity_verdict": lambda g: graphcstar.simplicity_verdict(g),
     "schweizer_check": lambda g: graphcstar.schweizer_check(g),
 }
+
+def test_an_invalid_graph_memoises_no_field():
+    g = Graph(*INVALID_GRAPHS["dangling endpoint"])
+    for _ in range(3):
+        for field in ("vertices", "_rows", "_emitters", "_components"):
+            with pytest.raises(InvalidGraphError):
+                getattr(g, field)
+    # Only the verdict of the check is kept.
+    assert set(vars(g)) == {"_vertices", "_edges", "_validation"}
+
 
 # Calls given a bad argument as well: the argument's ValueError comes first.
 DOUBLY_INVALID_CALLS = {

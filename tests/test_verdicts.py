@@ -212,6 +212,32 @@ def test_report_to_dict_is_deterministic():
     assert d["saturated_hereditary_lattice"] == [[], ["u", "w"]]
 
 
+class _CountingReads(Graph):
+    """A graph that counts reads of its strongly connected components."""
+
+    reads = 0
+
+    @property
+    def _components(self):
+        _CountingReads.reads += 1
+        return vars(Graph)["_components"].build(self)
+
+
+def test_report_lists_both_lattices_in_one_pass(monkeypatch):
+    calls = []
+    listings = verdicts._listings
+    monkeypatch.setattr(verdicts, "_listings",
+                        lambda g, kinds, cap: calls.append(kinds) or listings(g, kinds, cap))
+    monkeypatch.setattr(verdicts, "lattice", None)  # never listed one kind at a time
+    g = _CountingReads(("u", "w", "x"), (("a", "u", "w"), ("b", "w", "w"), ("c", "x", "x")))
+    report = classify(g)
+    _CountingReads.reads = 0
+    d = report_to_dict(report)
+    assert calls == [("hereditary", "saturated_hereditary")] and _CountingReads.reads == 1
+    assert d["hereditary_lattice"] == [[], ["w"], ["u", "w"], ["x"], ["w", "x"], ["u", "w", "x"]]
+    assert d["saturated_hereditary_lattice"] == [[], ["u", "w"], ["x"], ["u", "w", "x"]]
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_verdicts_beyond_the_lattice_cap():
     # far over the vertex cap: the verdicts read the condensation and never
