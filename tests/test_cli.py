@@ -377,6 +377,7 @@ GOLDEN = json.loads((FIXTURES_DIR / "cli_golden.json").read_text())
 def test_stdout_matches_golden(key, capsys, monkeypatch):
     # key: the argv with the fixture file name in place of its path
     monkeypatch.delenv("GRAPHCSTAR_CAP_VERTICES", raising=False)
+    monkeypatch.delenv("GRAPHCSTAR_CAP_PATHS", raising=False)
     command, name, *flags = key.split()
     assert run(capsys, command, str(FIXTURES_DIR / name), *flags) == (0, GOLDEN[key], "")
 
