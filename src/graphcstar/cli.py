@@ -69,25 +69,29 @@ def _load_graph(path: str) -> Graph:
     return parse_dsl(text)
 
 
-def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
+def _resolve_cap(flag_value: Optional[int], flag: str, env_name: str, default: int) -> int:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
-    if env is not None:
+        value, source = flag_value, flag
+    else:
+        env = os.environ.get(env_name)
+        if env is None:
+            return default
         try:
-            return int(env)
+            value, source = int(env), env_name
         except ValueError:
             raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
-    return default
+    if value < 0:
+        raise ValueError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def _vertex_cap(args) -> int:
     from .ideals import DEFAULT_LATTICE_CAP
-    return _resolve_cap(args.cap_vertices, ENV_CAP_VERTICES, DEFAULT_LATTICE_CAP)
+    return _resolve_cap(args.cap_vertices, "--cap-vertices", ENV_CAP_VERTICES, DEFAULT_LATTICE_CAP)
 
 
 def _path_cap(args, default: int) -> int:
-    return _resolve_cap(args.cap_paths, ENV_CAP_PATHS, default)
+    return _resolve_cap(args.cap_paths, "--cap-paths", ENV_CAP_PATHS, default)
 
 
 def _json_text(data, indent: Optional[int] = None) -> str:

@@ -510,7 +510,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     source to its range, with id the constituent edge ids joined by ".".
     Edges appear in lexicographic path order.  ``power_graph(g, 1)`` equals
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
-    than ``cap`` edges.
+    than ``cap`` edges, and with ValueError when ``cap`` is negative.
 
     Cost: the cap check takes O(min(n E, V^3 log n)); then O(min(n, V) E) to
     find the vertices that start a path of each length, and O(output
@@ -523,6 +523,8 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     """
     if n < 1:
         raise ValueError("power must be at least 1")
+    if cap < 0:
+        raise ValueError(f"path cap must be nonnegative, got {cap}")
     if _count_paths_saturating(g, n, cap + 1) > cap:
         raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
     # alive[r]: the vertices with an outgoing path of length r.  Each set is

@@ -12,7 +12,10 @@ are arbitrary non-whitespace tokens not containing ``#``.
 
 The JSON form is ``{"vertices": [ids...], "edges": [{"id","src","dst"}...]}``
 with no extra fields; serialization reproduces documents bit-exactly for
-canonical data and ``parse(serialize(g)) == g`` in both formats.
+canonical data and ``parse(serialize(g)) == g`` in both formats.  The two
+writers test all ids of a graph at once, on their joined text (the DSL
+writer that each is one token without ``#``, the DOT writer whether any holds
+a quote or backslash), and walk the ids one by one only when that test fails.
 
 Every failure carries located diagnostics: line and column for DSL input,
 field paths like ``edges[3].src`` for JSON.  Lexical and structural problems
@@ -157,11 +160,19 @@ def serialize_dsl(g: Graph) -> str:
     Ids containing whitespace or '#' cannot be written in this format and
     raise ValueError; use the JSON form for such graphs.
     """
-    for name in (*g.vertices, *(e[0] for e in g._rows)):
-        if not _DSL_ID.match(name):
-            raise ValueError(f"id {name!r} cannot be written in the DSL")
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {eid} {src} {dst}" for eid, src, dst in g._rows]
+    vertices = g.vertices
+    rows = g._rows
+    names = [*vertices, *[e[0] for e in rows]]
+    # Each id is one nonempty token without '#' exactly when the joined ids
+    # split back into the ids and hold no '#'; str.split and \s agree on
+    # every code point, so only an offender's graph is walked with _DSL_ID.
+    joined = " ".join(names)
+    if "#" in joined or joined.split() != names:
+        for name in names:
+            if not _DSL_ID.match(name):
+                raise ValueError(f"id {name!r} cannot be written in the DSL")
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge {eid} {src} {dst}" for eid, src, dst in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -312,8 +323,8 @@ def serialize_json(g: Graph) -> dict:
     }
 
 
-def _dot_quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_escape(name: str) -> str:
+    return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
@@ -335,7 +346,7 @@ def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
 
     cycle_edges: frozenset[str] = frozenset()
     marked_vertices: frozenset[str] = frozenset()
-    header: list[str] = []
+    lines = ["digraph G {"]
     if report is not None:
         if report.violating_cycle is not None:
             cycle_edges = frozenset(report.violating_cycle.edges)
@@ -345,21 +356,22 @@ def emit_dot(target: Union[Graph, AnalysisReport]) -> str:
             for s in report.saturated_hereditary_lattice.elements
             if s and s != full
             for v in s)
-        header.append(f"  // simplicity: {report.simplicity}")
+        lines.append(f"  // simplicity: {report.simplicity}")
 
-    quoted = {v: _dot_quote(v) for v in g.vertices}
-    lines = ["digraph G {"]
-    lines += header
-    for v, name in quoted.items():
-        attrs = ""
-        if v in marked_vertices:
-            attrs = " [style=filled, fillcolor=lightgrey]"
-        lines.append(f"  {name}{attrs};")
-    for eid, src, dst in g._rows:
-        attrs = [f"label={_dot_quote(eid)}"]
-        if eid in cycle_edges:
-            attrs.append("color=red")
-        lines.append(
-            f"  {quoted[src]} -> {quoted[dst]} [{', '.join(attrs)}];")
+    vertices = g.vertices
+    rows = g._rows
+    # Ids are written between double quotes as they are, unless some id
+    # holds a quote or a backslash; then every id is escaped, once.
+    names, labelled = vertices, rows
+    joined = " ".join([*vertices, *[e[0] for e in rows]])
+    if '"' in joined or "\\" in joined:
+        quoted = {v: _dot_escape(v) for v in vertices}
+        names = quoted.values()
+        labelled = [(_dot_escape(eid), quoted[src], quoted[dst]) for eid, src, dst in rows]
+    lines += [f'  "{name}" [style=filled, fillcolor=lightgrey];' if v in marked_vertices
+              else f'  "{name}";' for v, name in zip(vertices, names)]
+    lines += [f'  "{src}" -> "{dst}" [label="{eid}", color=red];' if row[0] in cycle_edges
+              else f'  "{src}" -> "{dst}" [label="{eid}"];'
+              for row, (eid, src, dst) in zip(rows, labelled)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -82,6 +82,18 @@ def test_power_cap_exhaustion_exits_3(capsys):
     assert "power graph too large" in err
 
 
+def test_negative_caps_exit_2(capsys, monkeypatch):
+    for argv, name in ((["power", G_EXIT, "-n", "3", "--cap-paths", "-2"], "--cap-paths"),
+                       (["cycles", G_EXIT, "--cap-paths", "-1"], "--cap-paths"),
+                       (["ideals", G_EXIT, "--cap-vertices", "-2"], "--cap-vertices")):
+        assert run(capsys, *argv) == (2, "", f"error: {name} must be nonnegative, got {argv[-1]}\n")
+    for env, argv in (("GRAPHCSTAR_CAP_PATHS", ["power", G_EXIT, "-n", "3"]),
+                      ("GRAPHCSTAR_CAP_VERTICES", ["analyze", G_EXIT])):
+        monkeypatch.setenv(env, "-2")
+        assert run(capsys, *argv) == (2, "", f"error: {env} must be nonnegative, got -2\n")
+        monkeypatch.delenv(env)
+
+
 def test_power_cap_on_huge_count_exits_3(capsys):
     # R_2 has 2^100000 paths of that length; the cap check must not format it.
     code, out, err = run(capsys, "power", G_ROSE2, "-n", "100000", "--cap-paths", "10")
@@ -421,7 +433,7 @@ _weight_text = st.lists(st.one_of(_FUZZ_IDS, st.sampled_from(["=", ",", "inf", "
 
 
 @given(data=_file_bytes(), suffix=st.sampled_from([".txt", ".json"]),
-       power=st.integers(-2, 40), cap=st.integers(-1, 10_000),
+       power=st.integers(-2, 40), cap=st.integers(-5, 10_000),
        weight_flag=st.sampled_from(["--support", "--weights"]), weights=_weight_text,
        n=st.integers(-2, 6), extra=st.integers(-1, 6),
        epsilon=st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "3"]))

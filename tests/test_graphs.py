@@ -249,6 +249,10 @@ def test_power_graph_cap():
         power_graph(g, 20)
     with pytest.raises(ValueError):
         power_graph(g, 0)
+    # a negative cap would clamp the path count to a negative ceiling
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            power_graph(g, 3, cap=cap)
 
 
 def test_power_graph_separator_collision():

@@ -17,7 +17,7 @@ from graphcstar import (
 )
 
 from graphcstar.graphs import Edge
-from graphcstar.io_formats import _TOKEN, Diagnostic
+from graphcstar.io_formats import _DSL_ID, _TOKEN, Diagnostic
 
 from conftest import FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, two_loops
 
@@ -557,3 +557,127 @@ def test_parse_json_takes_non_string_keys_from_decoded_documents():
     doc = {"vertices": ["u"], "edges": [{1: "e", "src": "u", "dst": "u"}]}
     assert _outcome(parse_json, doc) == _outcome(_reference_parse_json, doc)
     assert _outcome(parse_json, doc)[1][0][4] == "edges[0].1"
+
+
+# -- Parity with the previous writers --------------------------------------------
+#
+# The writers as they were before checking and quoting ids over the whole
+# graph at once: one regex match per id, and one quoting call per id.
+
+def _reference_serialize_dsl(g):
+    for name in (*g.vertices, *(e[0] for e in g._rows)):
+        if not _DSL_ID.match(name):
+            raise ValueError(f"id {name!r} cannot be written in the DSL")
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines += [f"edge {eid} {src} {dst}" for eid, src, dst in g._rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_dot_quote(name):
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _reference_emit_dot(target):
+    if isinstance(target, Graph):
+        g, report = target, None
+    else:
+        g, report = target.graph, target
+    cycle_edges = frozenset()
+    marked_vertices = frozenset()
+    header = []
+    if report is not None:
+        if report.violating_cycle is not None:
+            cycle_edges = frozenset(report.violating_cycle.edges)
+        full = frozenset(g.vertices)
+        marked_vertices = frozenset(
+            v for s in report.saturated_hereditary_lattice.elements if s and s != full for v in s)
+        header.append(f"  // simplicity: {report.simplicity}")
+    quoted = {v: _reference_dot_quote(v) for v in g.vertices}
+    lines = ["digraph G {"]
+    lines += header
+    for v, name in quoted.items():
+        attrs = ""
+        if v in marked_vertices:
+            attrs = " [style=filled, fillcolor=lightgrey]"
+        lines.append(f"  {name}{attrs};")
+    for eid, src, dst in g._rows:
+        attrs = [f"label={_reference_dot_quote(eid)}"]
+        if eid in cycle_edges:
+            attrs.append("color=red")
+        lines.append(f"  {quoted[src]} -> {quoted[dst]} [{', '.join(attrs)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _written(write, target):
+    try:
+        return "ok", write(target)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# Ids for the writer parity test are drawn from one of three pools: plain
+# characters, plain ones with the two that DOT escapes, and those with the
+# DSL's forbidden '#' and whitespace, where an id may also be empty.
+_PLAIN = ("a", "b", "7", ".", "\u00e9", "\u03bb", "\u200b")
+_ID_POOLS = (_PLAIN, _PLAIN + ('"', "\\"),
+             _PLAIN + ('"', "\\", "#", "\t", "\x1f", " ", "\u3000"))
+
+
+def _random_written_graph(rng):
+    pool = rng.choice(_ID_POOLS)
+    shortest = 0 if pool is _ID_POOLS[2] else 1
+
+    def ids(count):
+        found = []
+        while len(found) < count:
+            name = "".join(rng.choice(pool) for _ in range(rng.randint(shortest, 3)))
+            if name not in found:
+                found.append(name)
+        return found
+
+    vs = ids(rng.randint(1, 6))
+    return Graph(vs, [(eid, rng.choice(vs), rng.choice(vs)) for eid in ids(rng.randrange(10))])
+
+
+def test_writers_match_reference_route():
+    rng = random.Random(2026)
+    refused = escaped = red = grey = 0
+    for _ in range(2000):
+        g = _random_written_graph(rng)
+        got = _written(serialize_dsl, g)
+        assert got == _written(_reference_serialize_dsl, g), repr(g)
+        refused += got[0] != "ok"
+        report = classify(g)
+        for target in (g, report):
+            got = _written(emit_dot, target)
+            assert got == _written(_reference_emit_dot, target), repr(g)
+        escaped += "\\" in got[1]
+        red += "color=red" in got[1]
+        grey += "fillcolor=lightgrey" in got[1]
+    # every route of both writers is well represented
+    assert 300 < refused < 1000 and 600 < escaped < 1600 and red > 300 and grey > 300
+
+
+def test_joined_id_check_agrees_with_id_regex_on_every_code_point():
+    # serialize_dsl accepts "a" + c exactly when _DSL_ID matches it: the ids
+    # the regex takes pass in bulk, and each one it refuses is refused alone.
+    bad = []
+    for plane in range(0, 0x110000, 0x10000):
+        names = ["a" + chr(c) for c in range(plane, plane + 0x10000)]
+        serialize_dsl(Graph([name for name in names if _DSL_ID.match(name)], ()))
+        bad += [name for name in names if not _DSL_ID.match(name)]
+    assert len(bad) == 30  # '#' and the 29 code points str.split splits on
+    for name in bad:
+        with pytest.raises(ValueError, match="cannot be written in the DSL"):
+            serialize_dsl(Graph((name,), ()))
+
+
+def test_writers_refuse_non_str_ids_with_type_error():
+    # Outside the str-id contract, which no CLI input can break: the ids are
+    # joined as text, so emit_dot raises TypeError (it raised AttributeError
+    # from str.replace before), as serialize_dsl always did.
+    g = Graph((1,), ((2, 1, 1),))
+    for write in (serialize_dsl, emit_dot):
+        with pytest.raises(TypeError):
+            write(g)
