@@ -28,10 +28,15 @@ COMMANDS = (
     "analyze",
     "analyze --format json",
     "classify",
+    "classify --format json",
+    "cycles",
+    "cycles --format json",
     "dot",
     "dot --annotate",
     "ideals --kind hereditary",
+    "ideals --kind hereditary --format json",
     "ideals --kind satHer",
+    "ideals --kind satHer --format json",
     "power -n 2",
     "power -n 3",
     "power -n 3 --format json",
