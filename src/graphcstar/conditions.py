@@ -67,16 +67,16 @@ def condition_L(g: Graph) -> ConditionL:
     A cycle without an exit is exactly a bare-cycle strongly connected
     component: every member emits one edge, and for a one-vertex component
     that edge is a loop.  So Condition (L) fails exactly when the
-    condensation holds such a component.  On failure the witness is the
-    exitless cycle through the earliest such vertex in declaration order,
-    walked from that vertex.
+    condensation holds such an ``"exitless"`` component.  On failure the
+    witness is the exitless cycle through the earliest such vertex in
+    declaration order, walked from that vertex.
     """
-    out = g._out
-    first = min((v for c in g._components
-                 if all(len(out[v]) == 1 for v in c) and out[c[0]][0][2] in c
-                 for v in c), key=g.vertex_pos.__getitem__, default=None)
+    components, _, kinds = g._condensation
+    first = min((v for c, kind in zip(components, kinds) if kind == "exitless" for v in c),
+                key=g.vertex_pos.__getitem__, default=None)
     if first is None:
         return ConditionL(True, None)
+    out = g._out
     eid, _, v = out[first][0]
     trail = [eid]
     while v != first:

@@ -16,7 +16,9 @@ garbage collector stops scanning after one pass (it never stops scanning an
 :class:`Edge`); its ``Edge`` views are built only when a caller reads them.
 Sinks, sources and unit degrees are read from two sets built in C from the
 rows, the vertices that emit an edge and those that receive one; only the
-routines that walk edges build per-vertex edge lists.
+routines that walk edges build per-vertex edge lists.  One Tarjan pass
+records the strongly connected components, the links between them and the
+kind of each (``Graph._condensation``), and every verdict reads that record.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ class Edge(NamedTuple):
     id: str
     src: str
     dst: str
+
+
+class _Condensation(NamedTuple):
+    components: tuple[tuple[str, ...], ...]
+    successors: tuple[frozenset[int], ...]
+    kinds: tuple[str, ...]
 
 
 def _refuse_assignment(self, name, value):
@@ -245,35 +253,38 @@ class Graph:
         return frozenset(map(itemgetter(2), self._rows))
 
     @_memoised
-    def _components(self) -> tuple[tuple[str, ...], ...]:
-        """Strongly connected components in reverse topological order: every
-        edge leaving a component lands in an earlier one.
-
-        Iterative Tarjan (SIAM J. Comput. 1972), so path length is not bound
-        by the recursion limit; O(V+E).
+    def _condensation(self) -> _Condensation:
+        """The strongly connected components in reverse topological order, so
+        edges leaving a component enter earlier ones; for each, the indices
+        of those it enters and its kind: ``"acyclic"`` (one vertex, no loop),
+        ``"exitless"`` (each member emits one edge, inside: a cycle without an
+        exit) or ``"cyclic"``.  Every verdict reads its component facts here.
+        One iterative Tarjan pass (SIAM J. Comput. 1972) fills all three, each
+        component as it is popped, in O(V+E) and with no recursion limit.
         """
+        out = self._out
         index: dict[str, int] = {}
         low: dict[str, int] = {}
+        comp_of: dict[str, int] = {}  # popped; the other vertices in index are on the stack
         stack: list[str] = []
-        on_stack: set[str] = set()
         components: list[tuple[str, ...]] = []
+        successors: list[frozenset[int]] = []
+        kinds: list[str] = []
         for root in self.vertices:
             if root in index:
                 continue
             index[root] = low[root] = len(index)
             stack.append(root)
-            on_stack.add(root)
-            work = [(root, iter(self._out[root]))]
+            work = [(root, iter(out[root]), 0)]  # vertex, its edges, stack height below it
             while work:
-                v, edges = work[-1]
+                v, edges, height = work[-1]
                 for _, _, w in edges:
                     if w not in index:
                         index[w] = low[w] = len(index)
+                        work.append((w, iter(out[w]), len(stack)))
                         stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(self._out[w])))
                         break
-                    if w in on_stack and index[w] < low[v]:
+                    if w not in comp_of and index[w] < low[v]:
                         low[v] = index[w]
                 else:
                     work.pop()
@@ -282,15 +293,19 @@ class Graph:
                         if low[v] < low[u]:
                             low[u] = low[v]
                     if low[v] == index[v]:
-                        members = []
-                        while True:
-                            w = stack.pop()
-                            on_stack.discard(w)
-                            members.append(w)
-                            if w == v:
-                                break
-                        components.append(tuple(members))
-        return tuple(components)
+                        k = len(components)
+                        members = tuple(stack[height:])
+                        del stack[height:]
+                        for w in members:
+                            comp_of[w] = k
+                        ends = [comp_of[w] for m in members for _, _, w in out[m]]
+                        entered = frozenset(ends)
+                        components.append(members)
+                        successors.append(entered - {k})
+                        # Each member of a component with an edge inside has one.
+                        kinds.append("acyclic" if k not in entered else
+                                     "exitless" if len(ends) == len(members) else "cyclic")
+        return _Condensation(tuple(components), tuple(successors), tuple(kinds))
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""
@@ -701,24 +716,14 @@ def connectivity(g: Graph) -> Connectivity:
     """
     if not g.vertices:
         raise ValueError("empty graph")
-
-    out, inc = g._out, g._in
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for _, _, w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-        for _, u, _ in inc[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    weak = len(seen) == len(g.vertices)
-
-    # One component reaches itself by a path of length at least one exactly
-    # when it has two vertices or a self-loop.
-    strong = len(g._components) == 1 and (
-        len(g.vertices) > 1 or bool(g._out[g.vertices[0]]))
-    return Connectivity(weak, strong)
+    _, successors, kinds = g._condensation
+    # Union-find with path halving over the successor links: k is still a
+    # root when its links are joined, as its successors are all earlier.
+    parent = list(range(len(kinds)))
+    for k, entered in enumerate(successors):
+        for c in entered:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            parent[c] = k
+    roots = sum(c == p for c, p in enumerate(parent))
+    return Connectivity(roots == 1, kinds in (("exitless",), ("cyclic",)))

@@ -8,18 +8,17 @@ hereditary subsets decides simplicity questions: a trivial lattice (only the
 empty set and the full vertex set) means no nontrivial invariant ideals.
 
 Subsets are plain frozensets of vertex ids.  A hereditary subset is a union
-of strongly connected components that contains every component reachable
-from it, so the lattices are enumerated as such unions over the condensation
-of the graph: every step of the enumeration yields an element, and the cost
-grows with the size of the lattice, not with the 2^n subsets; the saturated
-ones are listed as they are built, not filtered.  :func:`_listings` lists
-either kind or both in one pass, each element as its vertices in declaration
-order, which a report prints as they come and :func:`lattice` wraps in
-frozensets.  Listing still refuses graphs beyond a configurable vertex cap;
-the verdicts only ask whether a lattice is trivial, which
-:func:`_trivial_flags` reads from the condensation at any size.
-:func:`lattice_bruteforce` checks all 2^n subsets and is kept as the
-reference the tests compare against.
+of strongly connected components that holds every component reachable from
+it, so both lattices are built over the graph's condensation record, the
+saturated one directly rather than filtered: every step yields an element,
+and the cost grows with the size of the lattice, not with the 2^n subsets.
+:func:`_listings` lists either kind or both in one pass, each element as its
+vertices in declaration order, which a report prints as they come and
+:func:`lattice` wraps in frozensets.  Listing refuses graphs beyond a
+configurable vertex cap; the verdicts only ask whether a lattice is trivial,
+which :func:`_trivial_flags` reads from the record's kinds and successor
+links at any size, with no closure.  :func:`lattice_bruteforce` checks all
+2^n subsets and is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -75,14 +74,14 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
 
 def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     """Whether the hereditary and the saturated hereditary lattices are
-    trivial, in O(V+E).  Every nonempty hereditary set holds a terminal
-    component, and ``g._components[0]`` is one, so the first lattice is
-    trivial iff there is at most one component, and the second iff the
-    closure of that component is V (it misses any other terminal one)."""
-    components = g._components
-    if len(components) <= 1:
-        return True, True
-    return False, len(saturated_hereditary_closure(g, components[0])) == len(g.vertices)
+    trivial.  A nonempty hereditary set holds a terminal component, so the
+    first is iff there is at most one component; the second iff at most one
+    is terminal and the others are ``"acyclic"``, which saturation then adds.
+    Otherwise the closure of one terminal component misses another, or the
+    vertices that cannot reach a non-terminal cyclic component miss it."""
+    _, successors, kinds = g._condensation
+    inner = [kind for kind, entered in zip(kinds, successors) if entered]
+    return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and set(inner) <= {"acyclic"}
 
 
 class SubsetLattice(NamedTuple):
@@ -109,16 +108,13 @@ class SubsetLattice(NamedTuple):
 def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattice:
     """Enumerate the lattice of hereditary (or saturated hereditary) subsets.
 
-    Hereditary subsets are built over the strongly connected components,
-    taken sinks first: each component joins every set found so far that
-    already holds all the components its edges lead to.  Each step yields
-    only lattice elements, so the work grows with the size of the lattice.
-    Only a loopless one-vertex component with an out-edge can leave a
-    hereditary set unsaturated (every other non-sink vertex has a target a
-    hereditary set holds only together with it), so for the saturated kind
-    such a vertex joins, in place, every set holding all its targets.
-    Elements come in ascending bitmask order, as from
-    :func:`lattice_bruteforce`.
+    Hereditary subsets are built over the condensation, sinks first: each
+    component joins every set found so far that holds all its successors.
+    Only an ``"acyclic"`` component with an out-edge can leave a hereditary
+    set unsaturated (every other non-sink vertex has a target a hereditary
+    set holds only together with it), so for the saturated kind such a
+    vertex joins, in place, every set holding all its successors.  Elements
+    come in ascending bitmask order, as from :func:`lattice_bruteforce`.
 
     Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices;
     no partial lattice is returned.  Only listings are capped; no verdict lists.
@@ -132,19 +128,16 @@ def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str
     the components, an element listed as its vertices in declaration order."""
     for kind in kinds:
         _check_lattice_args(g, kind, cap)
-    pos = g.vertex_pos
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     masks = {kind: [0] for kind in kinds}
-    for members in g._components:
-        own = 0
-        targets = 0
-        for v in members:
-            own |= 1 << pos[v]
-            for _, _, w in g._out[v]:
-                targets |= 1 << pos[w]
+    owns: list[int] = []  # each component's vertex bits
+    for members, entered, shape in zip(*g._condensation):
         # Edges leaving a component land in earlier ones, already decided.
-        need = targets & ~own
+        need = sum(map(owns.__getitem__, entered))
+        own = sum(map(bit.__getitem__, members))
+        owns.append(own)
         for kind, found in masks.items():
-            if kind == "saturated_hereditary" and need == targets != 0:  # one vertex, no loop
+            if kind == "saturated_hereditary" and shape == "acyclic" and need:
                 found[:] = [m | own if m & need == need else m for m in found]
             else:
                 found += [m | own for m in found if m & need == need]

@@ -1,0 +1,113 @@
+"""The condensation record ``Graph._condensation`` against definitions, and
+the routes that read it instead of working out component facts again."""
+
+import random
+
+import pytest
+
+import graphcstar
+from graphcstar import Graph, classify, condition_S, connectivity, lattice_bruteforce
+from graphcstar.ideals import _trivial_flags, saturated_hereditary_closure
+
+from conftest import iso_graphs, time_limit
+
+SMALL = [g for k in range(1, 5) for g in iso_graphs(k, 6)]
+
+
+def _seeded_large():
+    """A 10^4-vertex cycle, chain into two loops and random E = 3V graph."""
+    rng = random.Random(17)
+    n = 10**4
+    vs = tuple(f"v{i}" for i in range(n))
+    cycle = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    chain = [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    chain += [("l1", vs[-1], vs[-1]), ("l2", vs[-1], vs[-1])]
+    dense = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(3 * n)]
+    order = list(vs)
+    rng.shuffle(order)
+    return [Graph(vs, cycle), Graph(vs, chain), Graph(tuple(order), dense)]
+
+
+def _closure_flags(g):
+    """The route ``_trivial_flags`` took before the record held kinds: the
+    saturated lattice is trivial iff the closure of the first terminal
+    component is every vertex."""
+    components = g._condensation.components
+    if len(components) <= 1:
+        return True, True
+    return False, len(saturated_hereditary_closure(g, components[0])) == len(g.vertices)
+
+
+def _kind(g, members):
+    if len(members) == 1 and all(dst != members[0] for _, _, dst in g._out[members[0]]):
+        return "acyclic"
+    if all(len(g._out[v]) == 1 and g._out[v][0][2] in members for v in members):
+        return "exitless"
+    return "cyclic"
+
+
+def _check_record(g, nx):
+    components, successors, kinds = g._condensation
+    assert len(components) == len(successors) == len(kinds)
+    rank = {v: k for k, members in enumerate(components) for v in members}
+    assert sorted(rank) == sorted(g.vertices)
+    d = nx.MultiDiGraph()
+    d.add_nodes_from(g.vertices)
+    d.add_edges_from((src, dst) for _, src, dst in g._rows)
+    assert {frozenset(c) for c in components} == set(map(frozenset, nx.strongly_connected_components(d)))
+    for k, members in enumerate(components):
+        entered = {rank[dst] for v in members for _, _, dst in g._out[v]} - {k}
+        assert successors[k] == entered and all(c < k for c in entered)  # reverse topological
+        assert kinds[k] == _kind(g, members)
+    # (S) iff (L) and no sinks, read as: every component reaches a cyclic one.
+    good = []
+    for entered, kind in zip(successors, kinds):
+        good.append(kind == "cyclic" or any(good[c] for c in entered))
+    assert condition_S(g).holds == all(good)
+    assert _trivial_flags(g) == _closure_flags(g)
+
+
+def test_record_matches_definitions_on_every_small_graph():
+    nx = pytest.importorskip("networkx")
+    assert len(SMALL) == 4388
+    for g in SMALL:
+        _check_record(g, nx)
+        assert _trivial_flags(g) == tuple(
+            lattice_bruteforce(g, kind).is_trivial() for kind in ("hereditary", "saturated_hereditary"))
+
+
+def test_record_matches_definitions_on_large_graphs():
+    nx = pytest.importorskip("networkx")
+    cycle, chain, dense = _seeded_large()
+    for g in (cycle, chain, dense):
+        _check_record(g, nx)
+    assert cycle._condensation.kinds == ("exitless",)
+    assert chain._condensation.kinds == ("cyclic",) + ("acyclic",) * (10**4 - 1)
+    assert {"acyclic", "cyclic"} <= set(dense._condensation.kinds)
+
+
+def test_verdict_routes_leave_in_edges_unbuilt():
+    for g in [*SMALL[::97], *_seeded_large()]:
+        fresh = Graph(g._vertices, g._edges)
+        graphcstar.condition_L(fresh)
+        connectivity(fresh)
+        if len(fresh.vertices) <= 16:
+            graphcstar.report_to_dict(classify(fresh))
+        else:
+            classify(fresh)
+        assert "_in" not in vars(fresh)
+
+
+def test_connectivity_union_find_is_not_quadratic():
+    # A chain whose far end is entered from 10^5 more vertices: without
+    # path halving each of them would walk the whole chain of links.
+    n = 10**5
+    chain = [f"c{i}" for i in range(n)]
+    feeders = [f"f{i}" for i in range(n)]
+    edges = [(f"e{i}", chain[i], chain[i + 1]) for i in range(n - 1)]
+    edges += [(f"g{i}", v, chain[-1]) for i, v in enumerate(feeders)]
+    g = Graph((*chain, *feeders), edges)
+    g._condensation  # Tarjan's pass, timed apart from the union-find
+    with time_limit(2):
+        assert connectivity(g) == (True, False)
+    assert "_in" not in vars(g)

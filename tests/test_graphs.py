@@ -482,9 +482,9 @@ def test_connectivity_matches_networkx():
         d = nx.MultiDiGraph()
         d.add_nodes_from(g.vertices)
         d.add_edges_from((e.src, e.dst) for e in g.edges)
-        assert {frozenset(c) for c in g._components} == {
+        assert {frozenset(c) for c in g._condensation.components} == {
             frozenset(c) for c in nx.strongly_connected_components(d)}
-        rank = {v: i for i, c in enumerate(g._components) for v in c}
+        rank = {v: i for i, c in enumerate(g._condensation.components) for v in c}
         assert all(rank[e.dst] <= rank[e.src] for e in g.edges)  # sinks first
         # strong: every vertex reaches every vertex by a path of length >= 1
         strong = all(

@@ -355,7 +355,7 @@ def test_graphs_store_rows_the_collector_drops():
     graphs = [graphcstar.parse_dsl(_DSL), graphcstar.parse_json(document),
               Graph(("u", "w"), list(_DECLARED))]
     for g in graphs:
-        graphcstar.connectivity(g)  # builds _out and _in
+        graphcstar.saturated_hereditary_closure(g, ["u"])  # builds _out and _in
     gc.collect()
     gc.collect()
     for g in graphs:
@@ -417,7 +417,7 @@ def test_threads_reading_a_fresh_graph_agree():
 
     def read(i):
         start.wait(timeout=60)
-        seen[i] = g._components
+        seen[i] = g._condensation
 
     threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -430,8 +430,8 @@ def test_threads_reading_a_fresh_graph_agree():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    want = Graph(vs, es)._components
-    assert all(components == want for components in seen) and g._components in seen
+    want = Graph(vs, es)._condensation
+    assert all(condensation == want for condensation in seen) and g._condensation in seen
 
 
 def test_report_lists_its_lattices_on_each_read():
@@ -506,7 +506,7 @@ REFUSING_CALLS = {
 def test_an_invalid_graph_memoises_no_field():
     g = Graph(*INVALID_GRAPHS["dangling endpoint"])
     for _ in range(3):
-        for field in ("vertices", "_rows", "_emitters", "_components"):
+        for field in ("vertices", "_rows", "_emitters", "_condensation"):
             with pytest.raises(InvalidGraphError):
                 getattr(g, field)
     # Only the verdict of the check is kept.

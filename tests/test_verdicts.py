@@ -213,14 +213,14 @@ def test_report_to_dict_is_deterministic():
 
 
 class _CountingReads(Graph):
-    """A graph that counts reads of its strongly connected components."""
+    """A graph that counts reads of its condensation record."""
 
     reads = 0
 
     @property
-    def _components(self):
+    def _condensation(self):
         _CountingReads.reads += 1
-        return vars(Graph)["_components"].build(self)
+        return vars(Graph)["_condensation"].build(self)
 
 
 def test_report_lists_both_lattices_in_one_pass(monkeypatch):
