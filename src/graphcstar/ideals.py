@@ -132,7 +132,8 @@ def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str
     masks = {kind: [0] for kind in kinds}
     owns: list[int] = []  # each component's vertex bits
     for members, entered, shape in zip(*g._condensation):
-        # Edges leaving a component land in earlier ones, already decided.
+        # Edges leaving a component land in earlier ones, already decided;
+        # components share no vertex, so the sum of their masks is the union.
         need = sum(map(owns.__getitem__, entered))
         own = sum(map(bit.__getitem__, members))
         owns.append(own)
