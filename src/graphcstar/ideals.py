@@ -74,14 +74,14 @@ def saturated_hereditary_closure(g: Graph, members: Iterable[str]) -> frozenset[
 
 def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     """Whether the hereditary and the saturated hereditary lattices are
-    trivial.  A nonempty hereditary set holds a terminal component, so the
-    first is iff there is at most one component; the second iff at most one
-    is terminal and the others are ``"acyclic"``, which saturation then adds.
-    Otherwise the closure of one terminal component misses another, or the
-    vertices that cannot reach a non-terminal cyclic component miss it."""
+    trivial: the first iff there is at most one component, as a nonempty
+    hereditary set holds a terminal one; the second iff at most one is
+    terminal and no other is ``"cyclic"`` (exitless ones are terminal), as
+    saturation adds acyclic ones, but not a second terminal component, nor a
+    cyclic one to the vertices that cannot reach it."""
     _, successors, kinds = g._condensation
     inner = [kind for kind, entered in zip(kinds, successors) if entered]
-    return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and set(inner) <= {"acyclic"}
+    return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and "cyclic" not in inner
 
 
 class SubsetLattice(NamedTuple):
@@ -128,14 +128,14 @@ def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str
     the components, an element listed as its vertices in declaration order."""
     for kind in kinds:
         _check_lattice_args(g, kind, cap)
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    pos = g.vertex_pos
     masks = {kind: [0] for kind in kinds}
     owns: list[int] = []  # each component's vertex bits
     for members, entered, shape in zip(*g._condensation):
         # Edges leaving a component land in earlier ones, already decided;
         # components share no vertex, so the sum of their masks is the union.
-        need = sum(map(owns.__getitem__, entered))
-        own = sum(map(bit.__getitem__, members))
+        need = sum([owns[c] for c in entered])
+        own = sum([1 << pos[v] for v in members])
         owns.append(own)
         for kind, found in masks.items():
             if kind == "saturated_hereditary" and shape == "acyclic" and need:
