@@ -319,6 +319,47 @@ def test_power_graph_matches_eager_reference():
     assert min(seen.values()) >= 100, seen
 
 
+def test_power_graph_rows_are_the_joined_path_ids():
+    # Every length 1..8 on one graph: sinks and edges into them (dead ends),
+    # loops and parallel edges; a quarter of the graphs take ids from a pool
+    # whose joins can collide, which must refuse exactly when two joined ids
+    # of the path listing are equal.
+    rng = random.Random(71)
+    pool = ("a", "b", "a.b", "b.a", "a.a", "b.b", "c")
+    cap = 3000
+    seen = dict.fromkeys(("sink", "dead end", "loop", "parallel", "collision", "capped", "compared"), 0)
+    for _ in range(300):
+        g = _power_test_graph(rng)
+        if rng.random() < 0.25:
+            ids = rng.sample(pool, min(len(g.edges), len(pool)))
+            g = Graph(g.vertices, tuple((i, e.src, e.dst) for i, e in zip(ids, g.edges)))
+        sinks = vertex_classes(g).sinks
+        pairs = [(e.src, e.dst) for e in g.edges]
+        seen["sink"] += bool(sinks)
+        seen["dead end"] += any(d in sinks for _, d in pairs)
+        seen["loop"] += any(s == d for s, d in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        for n in range(1, 9):
+            if count_paths(g, n) > cap:
+                with pytest.raises(CapExceeded):
+                    power_graph(g, n, cap=cap)
+                seen["capped"] += 1
+                continue
+            expected = [(".".join(p.edges), p.source, p.range) for p in paths_of_length(g, n)]
+            if len({i for i, _, _ in expected}) < len(expected):
+                with pytest.raises(ValueError, match="collide"):
+                    power_graph(g, n, cap=cap)
+                seen["collision"] += 1
+                continue
+            got = power_graph(g, n, cap=cap)
+            assert got.vertices == g.vertices
+            assert got._rows == tuple(expected), (g, n)
+            assert all(type(e) is Edge for e in got._rows)
+            assert got.edges is got._rows
+            seen["compared"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_power_graph_skips_dead_ends():
     # 12 layers of 6 vertices, each joined to every vertex of the next
@@ -426,13 +467,26 @@ def _simple_cycles_reference(g: Graph) -> list[tuple[str, ...]]:
 
 def test_simple_cycles_match_unpruned_search():
     rng = random.Random(59)
-    nonempty = 0
+    caps = random.Random(61)  # apart, so the graphs drawn stay the same
+    seen = dict.fromkeys(("nonempty", "loop", "parallel", "capped"), 0)
     for _ in range(1200):
         g = shuffled(random_graph(rng, max_vertices=7, max_edges=14), rng)
+        expected = _simple_cycles_reference(g)
         got = [c.edges for c in simple_cycles(g)]
-        assert got == _simple_cycles_reference(g), g
-        nonempty += bool(got)
-    assert nonempty > 600
+        assert got == expected, g
+        assert all(type(c) is Path and c.graph is g for c in simple_cycles(g))
+        cap = caps.randint(0, len(expected) + 1)
+        if len(expected) > cap:
+            with pytest.raises(CapExceeded):
+                simple_cycles(g, cap=cap)
+            seen["capped"] += 1
+        else:
+            assert [c.edges for c in simple_cycles(g, cap=cap)] == expected
+        pairs = [(e.src, e.dst) for e in g.edges]
+        seen["nonempty"] += bool(got)
+        seen["loop"] += any(s == d for s, d in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert seen["nonempty"] > 600 and min(seen.values()) >= 300, seen
 
 
 def test_simple_cycles_cap():
