@@ -62,8 +62,10 @@ CAP_VERTICES_HELP = ("vertex cap on lattice listings (analyze, ideals, classify 
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    # One whole decode: an incremental "utf-8-sig" decoder drops a truncated
+    # BOM at end of file instead of raising.  Newlines as a text-mode read.
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     if path.endswith(".json"):
         return parse_json(text)
     return parse_dsl(text)

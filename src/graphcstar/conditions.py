@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     Path,
     _power,
+    _refuse_tuple_arithmetic,
     _same_graph,
     _walks,
     cycle_exits,
@@ -215,6 +216,7 @@ class WitnessRequest(NamedTuple("WitnessRequest", [
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_tuple_arithmetic
 
     def __new__(cls, a: VertexWeights, n: int, epsilon: float, max_length: int):
         if a.is_zero():

@@ -16,12 +16,7 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import Graph, Path, _same_graph
-
-
-def _refuse_tuple_arithmetic(self, other):
-    # A NamedTuple would repeat or concatenate itself as a plain tuple.
-    raise TypeError(f"unsupported operand for {type(self).__name__}: {type(other).__name__!r}")
+from .graphs import Graph, Path, _refuse_tuple_arithmetic, _same_graph
 
 
 class VertexWeights(NamedTuple("VertexWeights", [

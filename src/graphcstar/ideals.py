@@ -116,8 +116,9 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
     vertex joins, in place, every set holding all its successors.  Elements
     come in ascending bitmask order, as from :func:`lattice_bruteforce`.
 
-    Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices;
-    no partial lattice is returned.  Only listings are capped; no verdict lists.
+    Raises :class:`CapExceeded` when the graph has more than ``cap`` vertices,
+    and ValueError when ``cap`` is negative; no partial lattice is returned.
+    Only listings are capped; no verdict lists.
     """
     (listed,) = _listings(g, (kind,), cap)
     return SubsetLattice(g, kind, tuple(map(frozenset, listed)))
@@ -169,6 +170,8 @@ def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> S
 def _check_lattice_args(g: Graph, kind: str, cap: int) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown lattice kind {kind!r}")
+    if cap < 0:
+        raise ValueError(f"vertex cap must be nonnegative, got {cap}")
     n = len(g.vertices)
     if n > cap:
         raise CapExceeded(

@@ -263,6 +263,34 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, name, text):
     assert run(capsys, "classify", str(marked)) == expected
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["one byte", "two bytes"])
+def test_truncated_byte_order_mark_is_not_utf8(tmp_path, capsys, data, suffix):
+    # A BOM cut short at end of file is not UTF-8, not an empty graph.
+    path = tmp_path / f"g{suffix}"
+    path.write_bytes(data)
+    for command in ("analyze", "dot", "cycles"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == "", (command, err)
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte")
+        assert err.endswith("position 0: unexpected end of data\n" if len(data) == 1
+                            else "position 0-1: unexpected end of data\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_carriage_returns_read_as_newlines(tmp_path, capsys, newline):
+    text = "vertex u\nvertex w\nedge a u w\nedge b w w\n"
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    plain.write_bytes(text.encode())
+    other.write_bytes(("\ufeff" + text).replace("\n", newline).encode())
+    expected = run(capsys, "classify", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "classify", str(other)) == expected
+    other.write_bytes(newline.join(["vertex u", "", "edge a u zz", ""]).encode())
+    code, _, err = run(capsys, "analyze", str(other))
+    assert code == 2 and "line 3" in err and "undeclared vertex 'zz'" in err
+
+
 @pytest.mark.parametrize("command", ["power", "cycles"])
 def test_path_caps_name_their_variable_in_help(capsys, command):
     with pytest.raises(SystemExit):

@@ -495,6 +495,17 @@ def test_simple_cycles_cap():
         simple_cycles(g, cap=1)
 
 
+def test_negative_cycle_caps_are_refused_like_power_caps():
+    # Once the cyclic graph raised CapExceeded and the acyclic one returned [].
+    for g in (rose2(), chain_graph(3)):
+        for cap in (-1, -5):
+            with pytest.raises(ValueError, match=f"cycle cap must be nonnegative, got {cap}"):
+                simple_cycles(g, cap=cap)
+            with pytest.raises(ValueError, match=f"path cap must be nonnegative, got {cap}"):
+                power_graph(g, 2, cap=cap)
+    assert simple_cycles(chain_graph(3), cap=0) == []
+
+
 def test_cycle_exits():
     g = exit_graph()
     assert cycle_exits(g, g.path(["a"])) == ["b"]

@@ -238,3 +238,13 @@ def test_closure_is_least_fixed_point(g, data):
     for s in lattice(g, "saturated_hereditary").elements:
         if frozenset(members) <= s:
             assert c <= s
+
+
+def test_negative_vertex_caps_are_refused():
+    for g in (source_loop(), chain_graph(3)):
+        for kind in KINDS:
+            for listing in (lattice, lattice_bruteforce):
+                with pytest.raises(ValueError, match="vertex cap must be nonnegative, got -1"):
+                    listing(g, kind, cap=-1)
+            with pytest.raises(ValueError, match="nonnegative"):
+                report_to_dict(classify(g, cap=-1))

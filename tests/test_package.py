@@ -324,6 +324,15 @@ def test_weights_and_vectors_do_not_repeat_as_tuples():
             operation()
 
 
+def test_witness_request_does_not_concatenate_or_repeat_as_a_tuple():
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    request = WitnessRequest(VertexWeights(g, {"u": 1.0}), 0, 0.5, 3)
+    for operation in (lambda: request + request, lambda: request * 2, lambda: 2 * request,
+                      lambda: request + (1,), lambda: (1,) + request):
+        with pytest.raises(TypeError, match="WitnessRequest"):
+            operation()
+
+
 def test_make_and_replace_check_their_fields():
     g = Graph(("u",), (Edge("e", "u", "u"),))
     a = VertexWeights(g, {"u": 1.0})
