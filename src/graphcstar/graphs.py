@@ -609,10 +609,11 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     columns: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     def right(m: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The right halves from ``m`` as ``(ids, ends)`` columns."""
+        """The right halves from ``m`` as ``(ids, ends)`` columns; ``m``
+        ends a left half, so it starts some path of length ``b``."""
         found = columns.get(m)
         if found is None:
-            found = columns[m] = tuple(zip(*tails(b, 0, m))) or ((), ())
+            found = columns[m] = tuple(zip(*tails(b, 0, m)))
         return found
 
     new = tuple.__new__
