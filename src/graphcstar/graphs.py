@@ -359,10 +359,9 @@ class Path:
 
     Equality and hashing use the edge sequence only; the graph reference is
     carried for convenience.  Construct through :meth:`Graph.path` unless the
-    sequence is already known to compose.  The two slots are written through
-    their descriptors, past ``__setattr__`` (which refuses), at about 60% of
-    the cost of ``object.__setattr__``; the enumerations fill many paths
-    through the same descriptors without calling ``__init__`` (:func:`_paths`).
+    sequence is already known to compose.  The slots are written through
+    their descriptors, past ``__setattr__`` (which refuses), in about 70% of
+    the time of ``object.__setattr__``; :func:`_paths` fills many at once.
     """
 
     __slots__ = ("graph", "edges")
@@ -606,11 +605,11 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     a = (n - 1) // 2
     b = n - 1 - a
     first = alive[min(n - 1, last)]
-    columns: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    columns: dict[str, tuple] = {}
 
-    def right(m: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The right halves from ``m`` as ``(ids, ends)`` columns; ``m``
-        ends a left half, so it starts some path of length ``b``."""
+    def right(m: str) -> tuple:
+        # The right halves from m as (ids, ends) columns; m ends a left
+        # half, so it starts some path of length b and neither is empty.
         found = columns.get(m)
         if found is None:
             found = columns[m] = tuple(zip(*tails(b, 0, m)))
