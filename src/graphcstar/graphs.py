@@ -65,6 +65,28 @@ class ValidationResult(NamedTuple):
 _VALID = ValidationResult(())
 
 
+def _violations(vertices: Iterable[str], rows: Iterable[tuple[str, str, str]]
+                ) -> Iterator[tuple[str, int, str]]:
+    """``(field, index, id)`` for each duplicate vertex id (field
+    ``"vertices"``), duplicate edge id (``"id"``) and undeclared ``"src"`` or
+    ``"dst"`` of the rows, in input order: the one check of the graph
+    invariants."""
+    declared: set[str] = set()
+    for i, v in enumerate(vertices):
+        if v in declared:
+            yield "vertices", i, v
+        declared.add(v)
+    seen: set[str] = set()
+    for i, (eid, src, dst) in enumerate(rows):
+        if eid in seen:
+            yield "id", i, eid
+        seen.add(eid)
+        if src not in declared:
+            yield "src", i, src
+        if dst not in declared:
+            yield "dst", i, dst
+
+
 class InvalidGraphError(ValueError):
     """Raised when an operation requires a graph whose invariants fail."""
 
@@ -192,28 +214,17 @@ class Graph:
         """Check all graph invariants, reporting every violation.
 
         Invariants: vertex ids are unique, edge ids are unique, and both
-        endpoints of every edge are declared vertices.
+        endpoints of every edge are declared vertices.  The walk is
+        :func:`_violations`, which ``parse_json`` and ``power_graph`` also
+        run on the parts they build.
         """
-        issues: list[ValidationIssue] = []
-        seen_v: set[str] = set()
-        for v in self._vertices:
-            if v in seen_v:
-                issues.append(ValidationIssue("duplicate id", v, f"duplicate vertex id {v!r}"))
-            seen_v.add(v)
-        seen_e: set[str] = set()
-        for eid, src, dst in self._edges:
-            if eid in seen_e:
-                issues.append(ValidationIssue("duplicate id", eid, f"duplicate edge id {eid!r}"))
-            seen_e.add(eid)
-            if src not in seen_v:
-                issues.append(ValidationIssue(
-                    "dangling endpoint", eid,
-                    f"edge {eid!r} has undeclared src vertex {src!r}"))
-            if dst not in seen_v:
-                issues.append(ValidationIssue(
-                    "dangling endpoint", eid,
-                    f"edge {eid!r} has undeclared dst vertex {dst!r}"))
-        return ValidationResult(tuple(issues))
+        rows = self._edges
+        return ValidationResult(tuple(
+            ValidationIssue("duplicate id", x, f"duplicate vertex id {x!r}") if field == "vertices"
+            else ValidationIssue("duplicate id", x, f"duplicate edge id {x!r}") if field == "id"
+            else ValidationIssue("dangling endpoint", rows[i][0],
+                                 f"edge {rows[i][0]!r} has undeclared {field} vertex {x!r}")
+            for field, i, x in _violations(self._vertices, rows)))
 
     @_memoised
     def _validation(self) -> ValidationResult:
@@ -625,15 +636,12 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     memo.clear()
     # Endpoints are declared by construction, and joined ids can only
     # collide when some edge id contains the "." separator.
-    if not any("." in eid for eid, _, _ in g._rows):
-        return Graph._proven(g.vertices, edges)
-    result = Graph(g.vertices, edges)
-    check = result._validation
-    if not check.ok:
-        raise ValueError(
-            "power graph edge ids collide; avoid '.' in edge ids: "
-            + "; ".join(i.message for i in check.issues))
-    return result
+    if any("." in eid for eid, _, _ in g._rows):
+        clashes = [eid for _, _, eid in _violations(g.vertices, edges)]
+        if clashes:
+            raise ValueError("power graph edge ids collide; avoid '.' in edge ids: "
+                             + "; ".join(f"duplicate edge id {eid!r}" for eid in clashes))
+    return Graph._proven(g.vertices, edges)
 
 
 def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> int:
@@ -648,22 +656,20 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     O(V^3 log n).  The recurrence runs when n E <= V^3 (floor(log2 n) + 1).
     """
     vertices = g.vertices
+    top = inf if ceiling is None else ceiling
     if n * len(g._rows) <= len(vertices) ** 3 * n.bit_length():
-        top = inf if ceiling is None else ceiling
         pos = g.vertex_pos
         succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
         counts = [1] * len(vertices)
         for _ in range(n):
             counts = [min(top, sum([counts[j] for j in s])) for s in succ]
         return min(sum(counts), top)
-    if ceiling is None:
-        return sum(sum(row) for row in matrix_power(g.adjacency_matrix(), n))
 
     def mul(a, b):
-        return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
+        return [[min(x, top) for x in row] for row in matmul(a, b)]
 
-    m = [[min(x, ceiling) for x in row] for row in g.adjacency_matrix()]
-    return min(sum(sum(row) for row in _power(m, n, mul)), ceiling)
+    m = [[min(x, top) for x in row] for row in g.adjacency_matrix()]
+    return min(sum(map(sum, _power(m, n, mul))), top)
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:

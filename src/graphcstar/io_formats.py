@@ -29,7 +29,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .graphs import Graph
+from .graphs import Graph, _violations
 
 if TYPE_CHECKING:
     from .verdicts import AnalysisReport
@@ -181,9 +181,9 @@ def parse_json(document: Union[str, dict]) -> Graph:
 
     Schema problems raise :class:`ParseError` with the offending field path;
     duplicate ids and dangling endpoints raise :class:`GraphSemanticError`.
-    A well-formed edge object is taken in one step, and the graph is checked
-    by set sizes, once; the per-field and per-item walks that locate a
-    problem run only when there is one.
+    A well-formed edge object is taken in one step, and the per-field walk
+    that locates a schema problem runs only when there is one; the graph
+    invariants are checked once, by the walk :meth:`Graph.validate` runs.
     """
     if isinstance(document, str):
         import json
@@ -246,26 +246,11 @@ def parse_json(document: Union[str, dict]) -> Graph:
     if diags:
         _raise(diags)
 
-    declared = set(vertices)
-    ids, srcs, dsts = zip(*edges) if edges else ((), (), ())
-    if (len(declared) < len(vertices) or len(set(ids)) < len(ids)
-            or not declared.issuperset(srcs) or not declared.issuperset(dsts)):
-        seen_v: set[str] = set()
-        for i, v in enumerate(vertices):
-            if v in seen_v:
-                diags.append(Diagnostic("semantic", f"duplicate vertex id {v!r}", path=f"vertices[{i}]"))
-            seen_v.add(v)
-        seen_e: set[str] = set()
-        for i, (eid, src, dst) in enumerate(edges):
-            if eid in seen_e:
-                diags.append(Diagnostic("semantic", f"duplicate edge id {eid!r}", path=f"edges[{i}].id"))
-            seen_e.add(eid)
-            if src not in declared:
-                diags.append(Diagnostic("semantic", f"undeclared vertex {src!r}", path=f"edges[{i}].src"))
-            if dst not in declared:
-                diags.append(Diagnostic("semantic", f"undeclared vertex {dst!r}", path=f"edges[{i}].dst"))
-        _raise(diags)
-
+    _raise([Diagnostic("semantic", f"duplicate vertex id {x!r}", path=f"vertices[{i}]")
+            if field == "vertices" else
+            Diagnostic("semantic", f"duplicate edge id {x!r}", path=f"edges[{i}].id") if field == "id" else
+            Diagnostic("semantic", f"undeclared vertex {x!r}", path=f"edges[{i}].{field}")
+            for field, i, x in _violations(vertices, edges)])
     return Graph._proven(tuple(vertices), tuple(edges))
 
 

@@ -139,11 +139,13 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
 
     Each fact is derived once and shared by the simplicity verdict and the
     dichotomy check, in O(V+E) at any size; ``cap`` bounds only the
-    lattices the report lists when they are read.  A graph with no vertices
-    raises ValueError("empty graph"), as :func:`periodicity` is defined for
-    nonempty graphs only; :func:`simplicity_verdict` needs no period and
-    calls it simple.
+    lattices the report lists when they are read, and a negative ``cap`` is
+    refused here.  A graph with no vertices raises ValueError("empty
+    graph"), as :func:`periodicity` is defined for nonempty graphs only;
+    :func:`simplicity_verdict` needs no period and calls it simple.
     """
+    if cap < 0:
+        raise ValueError(f"vertex cap must be nonnegative, got {cap}")
     classes = vertex_classes(g)
     no_sinks = not classes.sinks
     no_sources = not classes.sources

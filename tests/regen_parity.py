@@ -7,10 +7,10 @@ vertices written as DSL and JSON files, plus files that fail to load (a
 syntax error, a schema error, an undeclared endpoint, bytes that are not
 UTF-8, an empty graph, a missing file) and caps set low or negative.  Each
 command line runs in process through ``graphcstar.cli.main`` with no cap set
-in the environment, and the fixture stores one sha256 per command line of
-its stdout, its stderr and its exit code.  Paths are written as ``<fixtures>``
-and ``<tmp>`` in the keys and in stderr, so the hashes do not depend on where
-the files live.  Run from the repository root::
+in the environment (``outcome``), and the fixture stores one sha256 per
+command line of its stdout, its stderr and its exit code (``digest``).  Paths
+are written as ``<fixtures>`` and ``<tmp>`` in the keys and in stderr, so the
+hashes do not depend on where the files live.  Run from the repository root::
 
     PYTHONPATH=src python tests/regen_parity.py
 
@@ -139,8 +139,8 @@ def corpus(graphs: list[tuple[str, list[str]]]) -> list[str]:
     return keys
 
 
-def digest(key: str, tmp: Path) -> str:
-    """sha256 of the (stdout, stderr, exit code) of one command line, with the
+def outcome(key: str, tmp: Path) -> tuple[str, str, int]:
+    """The (stdout, stderr, exit code) of one command line, with the
     directories in stderr written back as their placeholders."""
     dirs = {"<fixtures>": str(FIXTURES_DIR), "<tmp>": str(tmp)}
     argv = key.split()
@@ -154,13 +154,22 @@ def digest(key: str, tmp: Path) -> str:
     stderr = err.getvalue()
     for placeholder, path in dirs.items():
         stderr = stderr.replace(path, placeholder)
-    data = json.dumps([out.getvalue(), stderr, code]).encode()
-    return hashlib.sha256(data).hexdigest()
+    return out.getvalue(), stderr, code
+
+
+def digest(result: tuple[str, str, int]) -> str:
+    """sha256 of one command line's (stdout, stderr, exit code)."""
+    return hashlib.sha256(json.dumps(list(result)).encode()).hexdigest()
+
+
+def outcomes(tmp: Path) -> dict[str, tuple[str, str, int]]:
+    """Every corpus key with its outcome, the files written into ``tmp``."""
+    return {key: outcome(key, tmp) for key in corpus(write_files(tmp))}
 
 
 def hashes(tmp: Path) -> dict[str, str]:
     """Every corpus key with its digest, the files written into ``tmp``."""
-    return {key: digest(key, tmp) for key in corpus(write_files(tmp))}
+    return {key: digest(result) for key, result in outcomes(tmp).items()}
 
 
 def regenerate() -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcstar import Graph, serialize_json
+from graphcstar import Graph, graphs, serialize_json
 from graphcstar.cli import main
 
 from conftest import FIXTURES_DIR, cycle_graph, fixture_path
@@ -102,28 +102,34 @@ def test_power_cap_on_huge_count_exits_3(capsys):
 
 
 def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch):
-    sizes = []
-    validate = Graph.validate
+    validations, walks = [], []
+    validate, walk = Graph.validate, graphs._violations
 
-    def counting(self):
-        sizes.append(len(self._edges))
+    def counting_validate(self):
+        validations.append(len(self._edges))
         return validate(self)
 
-    monkeypatch.setattr(Graph, "validate", counting)
+    def counting_walk(vertices, rows):
+        walks.append(len(rows))
+        return walk(vertices, rows)
+
+    monkeypatch.setattr(Graph, "validate", counting_validate)
+    monkeypatch.setattr(graphs, "_violations", counting_walk)
     for fmt in ("text", "json"):
-        sizes.clear()
+        walks.clear()
         code, out, _ = run(capsys, "power", G_EXIT, "-n", "10", "--format", fmt)
         assert code == 0 and out
-        assert sizes == []  # the parser and power_graph prove their graphs valid
-    # With "." in an edge id, power_graph checks the result for colliding
-    # ids once, and the serializer reuses that check.
+        assert walks == []  # the parser and power_graph prove their graphs valid
+    # With "." in an edge id, power_graph walks the result for colliding ids
+    # once, and the serializer reuses its verdict.
     dotted = tmp_path / "dotted.txt"
     dotted.write_text("vertex v\nvertex w\nedge a.1 v w\nedge b w v\nedge c.2 w w\n")
     for fmt in ("text", "json"):
-        sizes.clear()
+        walks.clear()
         code, out, _ = run(capsys, "power", str(dotted), "-n", "3", "--format", fmt)
         assert code == 0 and "a.1.b.a.1" in out
-        assert sizes == [8]
+        assert walks == [8]
+    assert validations == []
 
 
 def test_cycles(capsys):

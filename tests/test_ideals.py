@@ -248,3 +248,5 @@ def test_negative_vertex_caps_are_refused():
                     listing(g, kind, cap=-1)
             with pytest.raises(ValueError, match="nonnegative"):
                 report_to_dict(classify(g, cap=-1))
+        with pytest.raises(ValueError, match="vertex cap must be nonnegative, got -1"):
+            classify(g, cap=-1)

@@ -12,11 +12,14 @@ from graphcstar import (
     emit_dot,
     parse_dsl,
     parse_json,
+    paths_of_length,
+    power_graph,
     serialize_dsl,
     serialize_json,
 )
 
-from graphcstar.graphs import Edge
+from graphcstar import graphs
+from graphcstar.graphs import Edge, ValidationIssue
 from graphcstar.io_formats import _DSL_ID, _TOKEN, Diagnostic
 
 from conftest import FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, two_loops
@@ -403,6 +406,14 @@ def _reference_parse_json(document):
     if diags:
         _reference_raise(diags)
 
+    _reference_raise(_reference_semantic_walk(vertices, edges))
+    return Graph(tuple(vertices), tuple(edges))
+
+
+def _reference_semantic_walk(vertices, edges):
+    """The located diagnostics of the graph invariants, as parse_json worked
+    them out before it shared Graph.validate's walk."""
+    diags = []
     declared = set(vertices)
     seen_v = set()
     for i, v in enumerate(vertices):
@@ -410,17 +421,15 @@ def _reference_parse_json(document):
             diags.append(Diagnostic("semantic", f"duplicate vertex id {v!r}", path=f"vertices[{i}]"))
         seen_v.add(v)
     seen_e = set()
-    for i, e in enumerate(edges):
-        if e.id in seen_e:
-            diags.append(Diagnostic("semantic", f"duplicate edge id {e.id!r}", path=f"edges[{i}].id"))
-        seen_e.add(e.id)
-        if e.src not in declared:
-            diags.append(Diagnostic("semantic", f"undeclared vertex {e.src!r}", path=f"edges[{i}].src"))
-        if e.dst not in declared:
-            diags.append(Diagnostic("semantic", f"undeclared vertex {e.dst!r}", path=f"edges[{i}].dst"))
-    _reference_raise(diags)
-
-    return Graph(tuple(vertices), tuple(edges))
+    for i, (eid, src, dst) in enumerate(edges):
+        if eid in seen_e:
+            diags.append(Diagnostic("semantic", f"duplicate edge id {eid!r}", path=f"edges[{i}].id"))
+        seen_e.add(eid)
+        if src not in declared:
+            diags.append(Diagnostic("semantic", f"undeclared vertex {src!r}", path=f"edges[{i}].src"))
+        if dst not in declared:
+            diags.append(Diagnostic("semantic", f"undeclared vertex {dst!r}", path=f"edges[{i}].dst"))
+    return diags
 
 
 def _outcome(parse, document):
@@ -557,6 +566,123 @@ def test_parse_json_takes_non_string_keys_from_decoded_documents():
     doc = {"vertices": ["u"], "edges": [{1: "e", "src": "u", "dst": "u"}]}
     assert _outcome(parse_json, doc) == _outcome(_reference_parse_json, doc)
     assert _outcome(parse_json, doc)[1][0][4] == "edges[0].1"
+
+
+# -- The shared validity walk ---------------------------------------------------
+#
+# Graph.validate, parse_json and power_graph's dotted-id route all run
+# graphs._violations.  Graph.validate's loop as it was before is kept below;
+# with _reference_semantic_walk above, it is the reference for that walk on
+# seeded invalid vertex and edge lists.
+
+def _reference_validate(vertices, rows):
+    issues = []
+    seen_v = set()
+    for v in vertices:
+        if v in seen_v:
+            issues.append(ValidationIssue("duplicate id", v, f"duplicate vertex id {v!r}"))
+        seen_v.add(v)
+    seen_e = set()
+    for eid, src, dst in rows:
+        if eid in seen_e:
+            issues.append(ValidationIssue("duplicate id", eid, f"duplicate edge id {eid!r}"))
+        seen_e.add(eid)
+        if src not in seen_v:
+            issues.append(ValidationIssue(
+                "dangling endpoint", eid, f"edge {eid!r} has undeclared src vertex {src!r}"))
+        if dst not in seen_v:
+            issues.append(ValidationIssue(
+                "dangling endpoint", eid, f"edge {eid!r} has undeclared dst vertex {dst!r}"))
+    return tuple(issues)
+
+
+_DEFECTS = ("vertex", "edge", "src", "dst")
+# Vertex and edge ids, the empty and dotted ones included.
+_WALK_IDS = ("u", "w", "", ".", "a.b", "u.", "\u00e9")
+
+
+def _invalid_parts(rng, defects):
+    """A vertex list and an edge list with at least one of each defect in
+    ``defects``: a duplicate vertex id, a duplicate edge id, an undeclared
+    src, an undeclared dst."""
+    vs = rng.sample(_WALK_IDS, rng.randint(1, 4))
+    undeclared = [x for x in (*_WALK_IDS, "zz") if x not in vs]
+    rows = [(eid, rng.choice(vs), rng.choice(vs))
+            for eid in rng.sample(_WALK_IDS + ("e", "e.f"), rng.randint(1, 5))]
+    for defect in defects:
+        for _ in range(rng.randint(1, 2)):
+            if defect == "vertex":
+                vs.insert(rng.randint(0, len(vs)), rng.choice(vs))
+            elif defect == "edge":
+                rows.insert(rng.randint(0, len(rows)), (rng.choice(rows)[0], rng.choice(vs), rng.choice(vs)))
+            else:
+                i = rng.randrange(len(rows))
+                eid, src, dst = rows[i]
+                bad = rng.choice(undeclared)
+                rows[i] = (eid, bad, dst) if defect == "src" else (eid, src, bad)
+    return vs, rows
+
+
+def test_shared_walk_matches_reference_routes():
+    rng = random.Random(1919)
+    seen = dict.fromkeys((*_DEFECTS, "all"), 0)
+    for _ in range(1200):
+        roll = rng.random()
+        defects = (_DEFECTS if roll < 0.2 else (rng.choice(_DEFECTS),) if roll < 0.6
+                   else tuple(rng.sample(_DEFECTS, rng.randint(2, 3))))
+        vs, rows = _invalid_parts(rng, defects)
+        expected = _reference_validate(vs, rows)
+        assert expected, (vs, rows)
+        assert Graph(vs, rows).validate().issues == expected, (vs, rows)
+        doc = {"vertices": vs, "edges": [{"id": e, "src": s, "dst": d} for e, s, d in rows]}
+        with pytest.raises(GraphSemanticError) as info:
+            parse_json(doc if rng.random() < 0.5 else json.dumps(doc))
+        assert list(info.value.diagnostics) == _reference_semantic_walk(vs, rows), (vs, rows)
+        seen["all" if len(defects) == 4 else defects[0]] += 1
+    assert min(seen.values()) > 100  # each defect alone, and all of them together
+
+
+def test_power_graph_collisions_match_reference_validate():
+    rng = random.Random(1920)
+    pool = ("a", "b", "a.b", "b.a", "a.a", "b.b", ".", "")
+    refused = 0
+    for _ in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+        rows = [(eid, rng.choice(vs), rng.choice(vs)) for eid in rng.sample(pool, rng.randint(1, 5))]
+        g, n = Graph(vs, rows), rng.randint(2, 3)
+        joined = [(".".join(p.edges), p.source, p.range) for p in paths_of_length(g, n)]
+        issues = _reference_validate(vs, joined)
+        if not issues:
+            assert power_graph(g, n).edges == tuple(map(Edge._make, joined))
+            continue
+        with pytest.raises(ValueError) as info:
+            power_graph(g, n)
+        assert str(info.value) == ("power graph edge ids collide; avoid '.' in edge ids: "
+                                   + "; ".join(i.message for i in issues))
+        refused += 1
+    assert 50 < refused < 250
+
+
+def test_parse_json_returns_a_graph_proven_valid(monkeypatch):
+    walks = []
+    walk = graphs._violations
+
+    def counting_walk(vertices, rows):
+        walks.append(len(rows))
+        return walk(vertices, rows)
+
+    monkeypatch.setattr(graphs, "_violations", counting_walk)
+    rng = random.Random(1921)
+    for _ in range(200):
+        vs = rng.sample(_WALK_IDS, rng.randint(1, 5))
+        rows = [(eid, rng.choice(vs), rng.choice(vs)) for eid in rng.sample(_WALK_IDS, rng.randint(0, 5))]
+        g = parse_json({"vertices": vs, "edges": [{"id": e, "src": s, "dst": d} for e, s, d in rows]})
+        assert vars(g)["_validation"].ok
+        assert g.vertices == tuple(vs) and g.edges == tuple(map(Edge._make, rows))
+        assert walks == []  # the first read walks nothing again
+        # The spy sees the walk of a graph built by hand.
+        assert Graph(vs, rows).vertices == tuple(vs) and walks == [len(rows)]
+        walks.clear()
 
 
 # -- Parity with the previous writers --------------------------------------------
