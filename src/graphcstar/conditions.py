@@ -169,8 +169,10 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
     the successor permutation settle the search in O(V log^2 lcm), and
     twice the vertex count otherwise.  A negative verdict from this method
     only rules out periods up to the bound, which is reported in
-    ``searched_bound``.
+    ``searched_bound``.  A negative bound is refused with ValueError.
     """
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     if not g.vertices:
         raise ValueError("empty graph")
     if method == "structural":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import Graph, Path, _refuse_tuple_arithmetic, _same_graph
+from .graphs import Graph, Path, _refuse_str, _refuse_tuple_arithmetic, _same_graph
 
 
 class VertexWeights(NamedTuple("VertexWeights", [
@@ -48,6 +48,7 @@ class VertexWeights(NamedTuple("VertexWeights", [
 
     @classmethod
     def indicator(cls, g: Graph, vertices: Iterable[str]) -> "VertexWeights":
+        _refuse_str(vertices, "vertex")
         return cls(g, {v: 1.0 for v in vertices})
 
     def __call__(self, v: str) -> float:

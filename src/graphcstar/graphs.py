@@ -27,7 +27,7 @@ from collections import deque
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_POWER_CAP = 10**6
 DEFAULT_CYCLE_CAP = 10**6
@@ -65,18 +65,30 @@ class ValidationResult(NamedTuple):
 _VALID = ValidationResult(())
 
 
-def _violations(vertices: Iterable[str], rows: Iterable[tuple[str, str, str]]
+def _violations(vertices: Sequence[str], rows: Sequence[tuple[str, str, str]]
                 ) -> Iterator[tuple[str, int, str]]:
     """``(field, index, id)`` for each duplicate vertex id (field
     ``"vertices"``), duplicate edge id (``"id"``) and undeclared ``"src"`` or
     ``"dst"`` of the rows, in input order: the one check of the graph
-    invariants."""
-    declared: set[str] = set()
-    for i, v in enumerate(vertices):
-        if v in declared:
-            yield "vertices", i, v
-        declared.add(v)
+    invariants.
+
+    Four set passes in C decide whether there is anything to report: the
+    vertex ids and the edge ids each have as many distinct values as items,
+    and the declared vertices hold the ``src`` and the ``dst`` column.  When
+    all four hold it yields nothing; otherwise a walk over the items finds
+    and locates each fault.
+    """
+    declared = set(vertices)
+    if (len(declared) == len(vertices) and len(set(map(itemgetter(0), rows))) == len(rows)
+            and declared.issuperset(map(itemgetter(1), rows))
+            and declared.issuperset(map(itemgetter(2), rows))):
+        return
     seen: set[str] = set()
+    for i, v in enumerate(vertices):
+        if v in seen:
+            yield "vertices", i, v
+        seen.add(v)
+    seen.clear()
     for i, (eid, src, dst) in enumerate(rows):
         if eid in seen:
             yield "id", i, eid
@@ -146,17 +158,24 @@ class Graph:
     first.  Instances are immutable and safe to share between threads.
     Equality, hashing, the repr and pickling use the unchecked ``(vertices,
     edges)``.  An :class:`Edge` or a plain ``(id, src, dst)`` tuple is stored
-    as given, any other sequence as an ``Edge``; :attr:`edges`,
-    :meth:`out_edges` and :attr:`edge_map` hold ``Edge`` objects, built on
-    their first read.
+    as given, any other sequence as an ``Edge``; when a pass over the item
+    types and one over their lengths find only those two, the edges are
+    kept as one tuple with no per-item step.  The first read's check decides
+    by set passes and walks the items only to report faults (see
+    :meth:`validate`).  :attr:`edges`, :meth:`out_edges` and
+    :attr:`edge_map` hold ``Edge`` objects, built on their first read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
         # Written past __setattr__, which refuses; the memoised fields and
         # indexes are stored in the same __dict__.
-        vars(self).update(_vertices=tuple(vertices), _edges=tuple(
-            e if type(e) is tuple and len(e) == 3 or type(e) is Edge else Edge(*e)
-            for e in edges))
+        rows = tuple(edges)
+        # Two passes in C show that every row is kept as given, as is usual;
+        # otherwise each item is read in turn.
+        if not ({tuple, Edge}.issuperset(map(type, rows)) and {3}.issuperset(map(len, rows))):
+            rows = tuple(e if type(e) is tuple and len(e) == 3 or type(e) is Edge else Edge(*e)
+                         for e in rows)
+        vars(self).update(_vertices=tuple(vertices), _edges=rows)
 
     @classmethod
     def _proven(cls, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]) -> "Graph":
@@ -214,9 +233,11 @@ class Graph:
         """Check all graph invariants, reporting every violation.
 
         Invariants: vertex ids are unique, edge ids are unique, and both
-        endpoints of every edge are declared vertices.  The walk is
+        endpoints of every edge are declared vertices.  The check is
         :func:`_violations`, which ``parse_json`` and ``power_graph`` also
-        run on the parts they build.
+        run on the parts they build: four set passes in C decide that a
+        valid graph has nothing to report, and only an invalid one is walked
+        item by item, to word and locate its faults in input order.
         """
         rows = self._edges
         return ValidationResult(tuple(
@@ -348,8 +369,10 @@ class Graph:
     def path(self, edge_ids: Iterable[str]) -> "Path":
         """Build a validated path from a sequence of edge ids.
 
-        Raises ValueError on unknown ids or non-composable consecutive edges.
+        Raises ValueError on unknown ids or non-composable consecutive edges,
+        and TypeError on a bare str.
         """
+        _refuse_str(edge_ids, "edge")
         ids = tuple(edge_ids)
         if not ids:
             raise ValueError("path needs at least one edge")
@@ -505,9 +528,16 @@ def _same_graph(a: Graph, b: Graph) -> bool:
     return a is b or a == b
 
 
+def _refuse_str(ids: Iterable[str], kind: str) -> None:
+    # A str is an iterable of ids too: its characters.
+    if isinstance(ids, str):
+        raise TypeError(f"pass a collection of {kind} ids, not the str {ids!r}")
+
+
 def _vertex_set(g: Graph, vs: Optional[Iterable[str]]) -> Optional[frozenset[str]]:
     if vs is None:
         return None
+    _refuse_str(vs, "vertex")
     out = frozenset(vs)
     for v in out:
         if v not in g.vertex_pos:

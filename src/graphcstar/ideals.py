@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import CapExceeded, Graph, _vertex_set
+from .graphs import CapExceeded, Graph, _refuse_str, _vertex_set
 
 DEFAULT_LATTICE_CAP = 16
 
@@ -94,6 +94,7 @@ class SubsetLattice(NamedTuple):
     elements: tuple[frozenset[str], ...]
 
     def __contains__(self, members: Iterable[str]) -> bool:
+        _refuse_str(members, "vertex")
         return frozenset(members) in set(self.elements)
 
     def __len__(self) -> int:

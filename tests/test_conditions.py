@@ -189,6 +189,14 @@ def test_periodicity_bound_exhaustion_is_reported():
     assert periodicity(cycle_graph(3)).periodic
 
 
+def test_periodicity_refuses_a_negative_bound():
+    for method in ("direct-power", "structural"):
+        with pytest.raises(ValueError, match="^bound must be nonnegative, got -3$"):
+            periodicity(cycle_graph(3), method=method, bound=-3)
+    v = periodicity(cycle_graph(3), method="direct-power", bound=0)
+    assert (v.periodic, v.minimal_period, v.searched_bound) == (False, None, 0)
+
+
 def test_periodicity_direct_power_costs_edges_per_power():
     rng = random.Random(83)
     vertices = tuple(f"v{i}" for i in range(120))

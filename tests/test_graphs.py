@@ -1,6 +1,7 @@
 import random
 import signal
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,45 @@ def test_checked_raises_and_valid_passes():
         Graph.checked(("u",), (("e", "u", "w"),))
     g = Graph.checked(("u", "w"), (("e", "u", "w"),))
     assert g.validate().ok
+
+
+class _Triple(NamedTuple):
+    a: str
+    b: str
+    c: str
+
+
+def _reference_rows(edges):
+    # The per-item rule Graph.__init__ applied to every item before.
+    return tuple(e if type(e) is tuple and len(e) == 3 or type(e) is Edge else Edge(*e)
+                 for e in edges)
+
+
+def test_graph_stores_rows_like_the_per_item_rule():
+    rng = random.Random(2021)
+    exact = (tuple, Edge._make)  # the forms stored as given
+    others = (list, _Triple._make)
+    wrong = (lambda r: r[:2], lambda r: (*r, "x"))
+    refused = kept = 0
+    for _ in range(600):
+        rows = [(f"e{i}", rng.choice("uv"), rng.choice("uv")) for i in range(rng.randint(0, 6))]
+        forms = exact + (others if rng.random() < 0.5 else ())
+        edges = [rng.choice(forms)(r) for r in rows]
+        if edges and rng.random() < 0.3:
+            edges.insert(rng.randint(0, len(edges)), rng.choice(wrong)(rng.choice(rows)))
+        try:
+            expected = _reference_rows(edges)
+        except TypeError:
+            with pytest.raises(TypeError):
+                Graph(("u", "v"), edges)
+            refused += 1
+            continue
+        got = Graph(("u", "v"), iter(edges))._edges
+        assert len(got) == len(expected)
+        for item, a, b in zip(edges, got, expected):
+            assert type(a) is type(b) and a == b and (a is item) == (b is item), edges
+        kept += sum(a is item for item, a in zip(edges, got))
+    assert refused > 100 and kept > 500
 
 
 def test_operations_refuse_invalid_graphs():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphcstar import (
     CapExceeded,
     Graph,
+    VertexWeights,
     classify,
     condition_L,
     connectivity,
@@ -15,6 +16,7 @@ from graphcstar import (
     is_saturated,
     lattice,
     lattice_bruteforce,
+    paths_of_length,
     report_to_dict,
     saturated_hereditary_closure,
     simplicity_verdict,
@@ -33,6 +35,30 @@ from conftest import (
     source_loop,
     two_loops,
 )
+
+
+def test_a_bare_str_is_refused_not_read_as_its_characters():
+    # Edges e and f join u and v; "uv" is a third vertex, and "ef" no edge.
+    g = Graph(("u", "v", "uv"), (("e", "u", "v"), ("f", "v", "u"), ("g", "uv", "uv")))
+    calls = {
+        "is_hereditary": lambda s: is_hereditary(g, s),
+        "is_saturated": lambda s: is_saturated(g, s),
+        "saturated_hereditary_closure": lambda s: saturated_hereditary_closure(g, s),
+        "paths_of_length from": lambda s: paths_of_length(g, 1, from_vertices=s),
+        "paths_of_length to": lambda s: paths_of_length(g, 1, to_vertices=s),
+        "VertexWeights.indicator": lambda s: VertexWeights.indicator(g, s),
+        "SubsetLattice.__contains__": lambda s: s in lattice(g, "hereditary"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match="^pass a collection of vertex ids, not the str 'uv'$"):
+            call("uv")
+        call(["uv"])  # the one vertex
+        assert call(("u", "v")) == call({"u", "v"}), name
+    with pytest.raises(TypeError, match="^pass a collection of edge ids, not the str 'ef'$"):
+        g.path("ef")
+    assert g.path(["e", "f"]).is_cycle()
+    assert saturated_hereditary_closure(g, ["uv"]) == {"uv"} and is_hereditary(g, ("u", "v"))
+    assert ["uv"] in lattice(g, "hereditary")
 
 
 def test_is_hereditary():

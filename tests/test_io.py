@@ -623,23 +623,61 @@ def _invalid_parts(rng, defects):
     return vs, rows
 
 
-def test_shared_walk_matches_reference_routes():
+def _seeded_invalid_parts():
+    """1,200 seeded ``(defects, vertices, rows, as_text)``: invalid vertex and
+    edge lists, and whether ``parse_json`` reads each as a document or as
+    its JSON text."""
     rng = random.Random(1919)
-    seen = dict.fromkeys((*_DEFECTS, "all"), 0)
     for _ in range(1200):
         roll = rng.random()
         defects = (_DEFECTS if roll < 0.2 else (rng.choice(_DEFECTS),) if roll < 0.6
                    else tuple(rng.sample(_DEFECTS, rng.randint(2, 3))))
         vs, rows = _invalid_parts(rng, defects)
+        yield defects, vs, rows, rng.random() >= 0.5
+
+
+def test_shared_walk_matches_reference_routes():
+    seen = dict.fromkeys((*_DEFECTS, "all"), 0)
+    for defects, vs, rows, as_text in _seeded_invalid_parts():
         expected = _reference_validate(vs, rows)
         assert expected, (vs, rows)
         assert Graph(vs, rows).validate().issues == expected, (vs, rows)
         doc = {"vertices": vs, "edges": [{"id": e, "src": s, "dst": d} for e, s, d in rows]}
         with pytest.raises(GraphSemanticError) as info:
-            parse_json(doc if rng.random() < 0.5 else json.dumps(doc))
+            parse_json(json.dumps(doc) if as_text else doc)
         assert list(info.value.diagnostics) == _reference_semantic_walk(vs, rows), (vs, rows)
         seen["all" if len(defects) == 4 else defects[0]] += 1
     assert min(seen.values()) > 100  # each defect alone, and all of them together
+
+
+def _valid_parts(rng):
+    """A valid vertex list, possibly empty, and edge list, possibly empty,
+    over ids that an edge and a vertex may share."""
+    vs = rng.sample(_WALK_IDS, rng.randint(0, 5))
+    ids = rng.sample(_WALK_IDS + ("e", "e.f"), rng.randint(0, 6) if vs else 0)
+    return vs, [(eid, rng.choice(vs), rng.choice(vs)) for eid in ids]
+
+
+def test_set_passes_decide_what_the_reference_walk_finds():
+    # The seeded invalid lists above and as many valid ones: the set passes
+    # let through exactly the lists the old loop found nothing in, and the
+    # walk reports the rest as it did.
+    rng = random.Random(2020)
+    parts = [(vs, rows) for _, vs, rows, _ in _seeded_invalid_parts()]
+    parts += [_valid_parts(rng) for _ in range(len(parts))]
+    parts += [([], []), ([""], []), ([""], [("", "", "")]), (["."], [(".", ".", ".")]),
+              (["u"], [("u", "u", "u")]), ([], [("e", "u", "u")]), (["u", "u"], []),
+              (["\u00e9", "a.b"], [("a.b", "\u00e9", "a.b"), ("\u00e9", "a.b", "\u00e9")])]
+    valid = 0
+    for vs, rows in parts:
+        expected = _reference_validate(vs, rows)
+        for edges in (rows, [Edge(*r) for r in rows]):
+            result = Graph(vs, edges).validate()
+            assert result.issues == expected and result.ok == (not expected), (vs, rows)
+        valid += not expected
+    assert valid >= 1200 and len(parts) - valid >= 1200
+    assert sum(not vs for vs, _ in parts) > 50 and sum(not rows for _, rows in parts) > 200
+    assert sum(any(e in vs for e, _, _ in rows) for vs, rows in parts) > 500
 
 
 def test_power_graph_collisions_match_reference_validate():
