@@ -70,13 +70,14 @@ def condition_L(g: Graph) -> ConditionL:
     that edge is a loop.  So Condition (L) fails exactly when the
     condensation holds such an ``"exitless"`` component.  On failure the
     witness is the exitless cycle through the earliest such vertex in
-    declaration order, walked from that vertex.
+    declaration order, walked from that vertex; with none, one shared
+    ``ConditionL(True, None)`` is returned before any vertex is read.
     """
     components, _, kinds = g._condensation
+    if "exitless" not in kinds:
+        return _L_HOLDS
     first = min((v for c, kind in zip(components, kinds) if kind == "exitless" for v in c),
-                key=g.vertex_pos.__getitem__, default=None)
-    if first is None:
-        return ConditionL(True, None)
+                key=g.vertex_pos.__getitem__)
     out = g._out
     eid, _, v = out[first][0]
     trail = [eid]
@@ -108,17 +109,13 @@ def condition_S(g: Graph) -> ConditionS:
     """Decide Condition (S): holds iff the graph has no sinks and satisfies
     Condition (L).  Sinks are reported first."""
     if len(g._emitters) < len(g.vertices):
-        return ConditionS(False, "has_sinks")
+        return _S_HAS_SINKS
     return _condition_S(False, condition_L(g))
 
 
 def _condition_S(has_sinks: bool, cl: ConditionL) -> ConditionS:
     """Condition (S) from the graph's sink status and its Condition (L)."""
-    if has_sinks:
-        return ConditionS(False, "has_sinks")
-    if not cl.holds:
-        return ConditionS(False, "fails_L")
-    return ConditionS(True, "ok")
+    return _S_HAS_SINKS if has_sinks else _S_OK if cl.holds else _S_FAILS_L
 
 
 class PeriodicityVerdict(NamedTuple):
@@ -128,6 +125,11 @@ class PeriodicityVerdict(NamedTuple):
     # For the direct-power method only: the largest power examined.  A
     # non-periodic verdict from that method means no period up to this bound.
     searched_bound: Optional[int] = None
+
+
+# Verdicts that take only a few values, built once and shared by every call.
+_L_HOLDS, _NONPERIODIC = ConditionL(True, None), PeriodicityVerdict(False, None, "structural")
+_S_OK, _S_HAS_SINKS, _S_FAILS_L = map(ConditionS, (True, False, False), ("ok", "has_sinks", "fails_L"))
 
 
 def _cycle_lengths(succ: dict[str, str]) -> list[int]:
@@ -179,7 +181,7 @@ def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = Non
         if is_disjoint_cycles(g):
             succ = {src: dst for _, src, dst in g._rows}
             return PeriodicityVerdict(True, lcm(*_cycle_lengths(succ)), "structural")
-        return PeriodicityVerdict(False, None, "structural")
+        return _NONPERIODIC
     if method != "direct-power":
         raise ValueError(f"unknown method {method!r}")
     if bound is None and is_disjoint_cycles(g):
@@ -252,7 +254,8 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
       the weight at the path's source.
 
     Returns the first (m, path) found, or None when the bound is exhausted
-    -- which never claims nonexistence.
+    -- which never claims nonexistence; a length with no path from such a
+    vertex ends the search there, as no longer path exists either.
     """
     rows = g._rows  # refuses an invalid graph before the weights' graph is compared
     if not _same_graph(g, req.a.graph):
@@ -262,10 +265,11 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     threshold = req.a.sup_norm - req.epsilon
     first = [e for e in rows if (w := req.a(e[1])) > threshold or w == threshold
              and fsum((req.a.sup_norm, -req.epsilon, -threshold)) < 0]
-    if not first:
-        return None
     for m in range(req.n + 1, req.max_length + 1):
+        seq = None
         for seq in _walks(g, m, first):
             if seq[-1] not in seq[:-1]:
                 return m, Path(g, seq)
+        if seq is None:
+            break
     return None

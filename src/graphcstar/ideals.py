@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import CapExceeded, Graph, _refuse_str, _vertex_set
+from .graphs import (CapExceeded, Graph, _memoised, _refuse_assignment, _refuse_deletion,
+                     _refuse_str, _vertex_set)
 
 DEFAULT_LATTICE_CAP = 16
 
@@ -84,18 +85,23 @@ def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and "cyclic" not in inner
 
 
-class SubsetLattice(NamedTuple):
+class SubsetLattice(NamedTuple("SubsetLattice", [
+        ("graph", Graph), ("kind", str), ("elements", tuple[frozenset[str], ...])])):
     """All subsets of one kind, ordered by their vertex bitmask (ascending,
     bit i = i-th declared vertex), so output order is deterministic.  Its
-    length is the number of elements."""
+    length is the number of elements.  The first membership test keeps a
+    set of the elements for later ones, which no copy or pickle carries."""
 
-    graph: Graph
-    kind: str
-    elements: tuple[frozenset[str], ...]
+    __setattr__, __delattr__ = _refuse_assignment, _refuse_deletion
+    __getstate__ = lambda self: None
+
+    @_memoised
+    def _members(self) -> frozenset[frozenset[str]]:
+        return frozenset(self.elements)
 
     def __contains__(self, members: Iterable[str]) -> bool:
         _refuse_str(members, "vertex")
-        return frozenset(members) in set(self.elements)
+        return frozenset(members) in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -131,22 +137,25 @@ def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str
     for kind in kinds:
         _check_lattice_args(g, kind, cap)
     pos = g.vertex_pos
-    masks = {kind: [0] for kind in kinds}
+    saturating = [kind == "saturated_hereditary" for kind in kinds]
+    listed = [[0] for _ in kinds]
     owns: list[int] = []  # each component's vertex bits
     for members, entered, shape in zip(*g._condensation):
-        # Edges leaving a component land in earlier ones, already decided;
-        # components share no vertex, so the sum of their masks is the union.
-        need = sum([owns[c] for c in entered])
-        own = sum([1 << pos[v] for v in members])
+        # Edges leaving a component land in earlier ones, already decided.
+        need = own = 0
+        for c in entered:
+            need |= owns[c]
+        for v in members:
+            own |= 1 << pos[v]
         owns.append(own)
-        for kind, found in masks.items():
-            if kind == "saturated_hereditary" and shape == "acyclic" and need:
+        for saturated, found in zip(saturating, listed):
+            if saturated and shape == "acyclic" and need:
                 found[:] = [m | own if m & need == need else m for m in found]
             else:
                 found += [m | own for m in found if m & need == need]
     vs = g.vertices
     return tuple([[v for v, b in zip(vs, bin(mask)[:1:-1]) if b == "1"]  # bit i at index i
-                  for mask in sorted(found)] for found in masks.values())
+                  for mask in sorted(found)] for found in listed)
 
 
 def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattice:

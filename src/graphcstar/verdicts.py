@@ -14,10 +14,11 @@ soundness bug rather than bad input.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
-from .graphs import Graph, InternalInvariantError, Path, vertex_classes
+from .graphs import Graph, InternalInvariantError, Path
 from .ideals import DEFAULT_LATTICE_CAP, KINDS, SubsetLattice, _listings, _trivial_flags, lattice
 
 SIMPLE = "simple"
@@ -99,18 +100,32 @@ def simplicity_verdict(g: Graph) -> tuple[str, tuple[str, ...]]:
     lattice.  Returns the verdict and the citation tags used; the Condition
     (S) route is cited as well whenever it independently applies."""
     cl = condition_L(g)
-    cs = _condition_S(bool(vertex_classes(g).sinks), cl)
+    cs = _condition_S(len(g._emitters) < len(g.vertices), cl)
     return _simplicity(cl, cs, _trivial_flags(g)[1])
 
 
 def _simplicity(cl: ConditionL, cs: ConditionS, trivial: bool) -> tuple[str, tuple[str, ...]]:
-    verdict = SIMPLE if cl.holds and trivial else NOT_SIMPLE
-    tags = ["simplicity-criterion"]
-    if cs.holds and trivial:
-        # Condition (S) with no invariant ideals gives simplicity too; it
-        # agrees with the verdict because (S) implies (L).
-        tags.append("condition-s-simplicity")
-    return verdict, tuple(tags)
+    # Condition (S) with no invariant ideals gives simplicity too; it agrees
+    # with the verdict because (S) implies (L).
+    return SIMPLE if cl.holds and trivial else NOT_SIMPLE, _SIMPLICITY_TAGS[cs.holds and trivial]
+
+
+def _cited(tags: tuple[str, ...], schweizer: bool, periodic: bool) -> tuple[str, ...]:
+    cited = {*tags, "l-iff-s-no-sinks", "no-sinks-injectivity"}
+    if schweizer:
+        cited.add("schweizer-simplicity")
+    if periodic:
+        cited.add("cycle-decomposition-periodicity")
+    return tuple(tag for tag in CITATIONS if tag in cited)
+
+
+# Citations and hypotheses take a few values each, built here once: a
+# report's citations keyed (its verdict's tags, hypotheses hold, periodic),
+# its hypotheses keyed (has sources, has sinks).
+_SIMPLICITY_TAGS = (("simplicity-criterion",), ("simplicity-criterion", "condition-s-simplicity"))
+_CITED = {key: _cited(*key) for key in product(_SIMPLICITY_TAGS, (False, True), (False, True))}
+_SCHWEIZER = {(so, si): SchweizerStatus(not (so or si), ("has_sources",) * so + ("has_sinks",) * si)
+              for so, si in product((False, True), repeat=2)}
 
 
 def schweizer_check(g: Graph) -> tuple[SchweizerStatus, Optional[str]]:
@@ -138,7 +153,9 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     of cycles).
 
     Each fact is derived once and shared by the simplicity verdict and the
-    dichotomy check, in O(V+E) at any size; ``cap`` bounds only the
+    dichotomy check, in O(V+E) at any size: sinks and sources from the sizes
+    of the graph's emitter and receiver sets, and the citations and
+    hypotheses from tables built at import; ``cap`` bounds only the
     lattices the report lists when they are read, and a negative ``cap`` is
     refused here.  A graph with no vertices raises ValueError("empty
     graph"), as :func:`periodicity` is defined for nonempty graphs only;
@@ -146,68 +163,38 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     """
     if cap < 0:
         raise ValueError(f"vertex cap must be nonnegative, got {cap}")
-    classes = vertex_classes(g)
-    no_sinks = not classes.sinks
-    no_sources = not classes.sources
+    n = len(g.vertices)
+    has_sinks = len(g._emitters) < n
+    has_sources = len(g._receivers) < n
     cl = condition_L(g)
-    cs = _condition_S(not no_sinks, cl)
+    cs = _condition_S(has_sinks, cl)
     per = periodicity(g)
+    nonperiodic = not per.periodic
     trivial_her, trivial_sat = _trivial_flags(g)
 
-    flags = ReportFlags(
-        no_sinks=no_sinks,
-        no_sources=no_sources,
-        finite=True,
-        full=no_sources,
-        unital=True,
-        injective_left_action=no_sinks,
-        condition_L=cl.holds,
-        condition_S=cs.holds,
-        nonperiodic=not per.periodic,
-        trivial_hereditary=trivial_her,
-        trivial_saturated_hereditary=trivial_sat,
-    )
+    flags = ReportFlags(not has_sinks, not has_sources, True, not has_sources, True, not has_sinks,
+                        cl.holds, cs.holds, nonperiodic, trivial_her, trivial_sat)
     verdict, tags = _simplicity(cl, cs, trivial_sat)
-    failed = tuple(name for name, bad in (("has_sources", classes.sources),
-                                          ("has_sinks", classes.sinks)) if bad)
-    schweizer = SchweizerStatus(not failed, failed)
+    schweizer = _SCHWEIZER[has_sources, has_sinks]
     predicted = None
     if schweizer.holds:
-        predicted = SIMPLE if flags.nonperiodic and trivial_her else NOT_SIMPLE
+        predicted = SIMPLE if nonperiodic and trivial_her else NOT_SIMPLE
         if predicted != verdict:
             raise InternalInvariantError(
                 f"dichotomy predicts {predicted} but the simplicity criterion "
                 f"gives {verdict}")
 
     counterexample = []
-    if flags.nonperiodic and not flags.condition_L:
+    if nonperiodic and not cl.holds:
         counterexample.append("nonperiodic_but_not_L")
-    if flags.nonperiodic and trivial_sat and verdict == NOT_SIMPLE:
+    if nonperiodic and trivial_sat and verdict == NOT_SIMPLE:
         counterexample.append("nonperiodic_trivial_invariant_not_simple")
     if per.periodic:
         counterexample.append("periodic_disjoint_cycles")
 
-    cited = set(tags)
-    cited.update(("l-iff-s-no-sinks", "no-sinks-injectivity"))
-    if schweizer.holds:
-        cited.add("schweizer-simplicity")
-    if per.periodic:
-        cited.add("cycle-decomposition-periodicity")
-    citations = tuple(tag for tag in CITATIONS if tag in cited)
-
-    return AnalysisReport(
-        graph=g,
-        flags=flags,
-        simplicity=verdict,
-        condition_S_reason=cs.reason,
-        schweizer=schweizer,
-        schweizer_predicted=predicted,
-        counterexample_flags=tuple(counterexample),
-        citations=citations,
-        minimal_period=per.minimal_period,
-        violating_cycle=cl.violating_cycle,
-        cap=cap,
-    )
+    return AnalysisReport(g, flags, verdict, cs.reason, schweizer, predicted, tuple(counterexample),
+                          _CITED[tags, schweizer.holds, per.periodic], per.minimal_period,
+                          cl.violating_cycle, cap)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -216,7 +203,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     hereditary, saturated = _listings(g, KINDS, report.cap)
     return {
         "graph": {"vertices": len(g.vertices), "edges": len(g._rows)},
-        "flags": report.flags._asdict(),
+        "flags": dict(zip(ReportFlags._fields, report.flags)),
         "condition_S_reason": report.condition_S_reason,
         "simplicity": report.simplicity,
         "schweizer": {

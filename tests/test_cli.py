@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphcstar import Graph, graphs, serialize_json
 from graphcstar.cli import main
 
-from conftest import FIXTURES_DIR, cycle_graph, fixture_path
+from conftest import FIXTURES_DIR, cycle_graph, fixture_path, time_limit
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
@@ -166,6 +166,19 @@ def test_witness_not_found_exits_3(capsys):
     code, out, _ = run(capsys, "witness", G_TWO_LOOPS, "--support", "w", "--epsilon", "0.5",
                        "--n", "1", "--max-length", "6", "--format", "json")
     assert (code, out) == (3, '{"found": false, "searched_max_length": 6}\n')
+
+
+def test_witness_stops_at_the_first_length_without_a_path(tmp_path, capsys):
+    # one edge u -> v: exit 3 at once, with the output of an exhausted bound
+    path = tmp_path / "dag.txt"
+    path.write_text("vertex u\nvertex v\nedge e u v\n")
+    argv = ("witness", str(path), "--support", "u", "--epsilon", "0.5", "--n", "1",
+            "--max-length", "1000000000000")
+    with time_limit(5):
+        assert run(capsys, *argv) == (
+            3, "no witness found up to length 1000000000000 (existence is not ruled out)\n", "")
+        assert run(capsys, *argv, "--format", "json") == (
+            3, '{"found": false, "searched_max_length": 1000000000000}\n', "")
 
 
 def test_witness_found(capsys):

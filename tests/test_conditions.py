@@ -397,6 +397,20 @@ def test_find_witness_exhausts_on_two_cycle():
     assert found is None
 
 
+def test_find_witness_stops_at_the_first_length_without_a_path():
+    # no path of length 2 leaves u, so none longer does; the search walked
+    # one empty length after another up to max_length
+    g = Graph(("u", "v"), (("e", "u", "v"),))
+    a = VertexWeights.indicator(g, ["u"])
+    with time_limit(5):
+        assert find_witness(g, WitnessRequest(a=a, n=1, epsilon=0.5, max_length=10**12)) is None
+    # paths that all return do not end the search: u's loop reaches length 3
+    g = Graph(("u", "v"), (("l", "u", "u"), ("e", "v", "u")))
+    a = VertexWeights.indicator(g, ["u", "v"])
+    found = find_witness(g, WitnessRequest(a=a, n=1, epsilon=0.5, max_length=3))
+    assert found == (2, g.path(["e", "l"]))
+
+
 def test_find_witness_skips_lengths_without_witnesses():
     # in the theta graph every length-4 path from u is returning, but
     # length 5 offers (p1, q, p1, q, p2)

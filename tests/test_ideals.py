@@ -1,5 +1,7 @@
+import pickle
 import random
 import tracemalloc
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,32 @@ def test_a_bare_str_is_refused_not_read_as_its_characters():
     assert g.path(["e", "f"]).is_cycle()
     assert saturated_hereditary_closure(g, ["uv"]) == {"uv"} and is_hereditary(g, ("u", "v"))
     assert ["uv"] in lattice(g, "hereditary")
+
+
+def test_membership_tests_read_one_kept_set():
+    # 14 vertices with one loop each: all 16,384 subsets are hereditary, and
+    # rebuilding a set of them on each test took about 0.9 ms a test
+    vs = tuple(f"v{i}" for i in range(14))
+    g = Graph(vs, tuple((f"l{i}", v, v) for i, v in enumerate(vs)))
+    lat = lattice(g, "hereditary", cap=14)
+    fields = (lat.graph, lat.kind, lat.elements)
+    before = (pickle.dumps(lat), repr(lat), hash(lat))
+    rng = random.Random(3)
+    queries = [rng.sample(vs + ("x",), rng.randint(0, 15)) for _ in range(1000)]  # x: no vertex
+    start = perf_counter()
+    found = [q in lat for q in queries]
+    assert perf_counter() - start < 0.3
+    assert found == [frozenset(q) in set(lat.elements) for q in queries]
+    assert 0 < sum(found) < len(found)
+    with pytest.raises(TypeError, match="not the str"):
+        "v0" in lat
+    # the kept set changes no equality, hash, repr, unpacking or pickle
+    assert (pickle.dumps(lat), repr(lat), hash(lat)) == before
+    assert lat == fields and tuple(lat) == fields
+    for clone in (pickle.loads(before[0]), pickle.loads(pickle.dumps(lat))):
+        assert clone == lat and type(clone) is type(lat) and ["v0"] in clone
+    with pytest.raises(AttributeError):
+        lat._members = frozenset()
 
 
 def test_is_hereditary():

@@ -158,25 +158,66 @@ def test_flag_consistency_random():
         assert rep.schweizer_predicted == rep.simplicity
 
 
+def _reference_fields(g: Graph, holds_L: bool, trivial_her: bool, trivial_sat: bool,
+                      periodic: bool) -> tuple:
+    """A report's leading flags, (S) reason, Schweizer status and prediction,
+    counterexample flags and citations, and its verdict's tags, derived from
+    ``vertex_classes`` and the given facts by building each set of tags."""
+    classes = vertex_classes(g)
+    flags = (not classes.sinks, not classes.sources, True, not classes.sources, True,
+             not classes.sinks)
+    reason = "has_sinks" if classes.sinks else "ok" if holds_L else "fails_L"
+    failed = tuple(name for name, bad in (("has_sources", classes.sources),
+                                          ("has_sinks", classes.sinks)) if bad)
+    simple = holds_L and trivial_sat
+    predicted = None if failed else (
+        "simple" if not periodic and trivial_her else "not_simple")
+    counterexample = []
+    if not periodic and not holds_L:
+        counterexample.append("nonperiodic_but_not_L")
+    if not periodic and trivial_sat and not simple:
+        counterexample.append("nonperiodic_trivial_invariant_not_simple")
+    if periodic:
+        counterexample.append("periodic_disjoint_cycles")
+    cited = {"simplicity-criterion", "l-iff-s-no-sinks", "no-sinks-injectivity"}
+    if reason == "ok" and trivial_sat:
+        cited.add("condition-s-simplicity")
+    if not failed:
+        cited.add("schweizer-simplicity")
+    if periodic:
+        cited.add("cycle-decomposition-periodicity")
+    tags = ("simplicity-criterion", "condition-s-simplicity")
+    return (flags, reason, (not failed, failed), predicted, tuple(counterexample),
+            tuple(tag for tag in CITATIONS if tag in cited),
+            tuple(tag for tag in tags if tag in cited))
+
+
 def _census() -> list[dict]:
     """Each realised (L), (S), nonperiodic, Schweizer hypotheses, simplicity
     combination over every graph on exactly 1-4 vertices with at most 6
     edges, up to isomorphism, with its count and its first graph in
     enumeration order (fewest vertices, then fewest edges).  Every graph's
-    flags are checked against the brute-force routes on the way."""
+    flags are checked against the brute-force routes on the way, and the
+    rest of its report against :func:`_reference_fields`."""
     rows: dict[tuple, dict] = {}
     for k in range(1, 5):
         for g in iso_graphs(k, 6):
             report = classify(g)
             flags = report.flags
             holds_L = condition_L_bruteforce(g).holds
+            trivial_her = lattice_bruteforce(g, "hereditary").is_trivial()
             trivial_sat = lattice_bruteforce(g, "saturated_hereditary").is_trivial()
+            periodic = periodicity(g, method="direct-power").periodic
             assert flags.condition_L == holds_L, g
             assert flags.condition_S == (holds_L and flags.no_sinks), g
-            assert flags.trivial_hereditary == lattice_bruteforce(g, "hereditary").is_trivial(), g
+            assert flags.trivial_hereditary == trivial_her, g
             assert flags.trivial_saturated_hereditary == trivial_sat, g
-            assert flags.nonperiodic != periodicity(g, method="direct-power").periodic, g
+            assert flags.nonperiodic != periodic, g
             assert (report.simplicity == "simple") == (holds_L and trivial_sat), g
+            assert (flags[:6], report.condition_S_reason, tuple(report.schweizer),
+                    report.schweizer_predicted, report.counterexample_flags,
+                    report.citations, simplicity_verdict(g)[1]) == _reference_fields(
+                        g, holds_L, trivial_her, trivial_sat, periodic), g
             key = (flags.condition_L, flags.condition_S, flags.nonperiodic,
                    report.schweizer.holds, report.simplicity)
             row = rows.setdefault(key, dict(zip(
