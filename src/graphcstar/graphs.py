@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, repeat
-from math import inf
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -676,7 +675,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
 
 def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> int:
     """``min(count_paths(g, n), ceiling)`` without forming larger integers;
-    the exact count when ``ceiling`` is None.
+    the exact count, with no clamping at all, when ``ceiling`` is None.
 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
     products, so clamping every partial count keeps it equal to the clamped
@@ -686,20 +685,26 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     O(V^3 log n).  The recurrence runs when n E <= V^3 (floor(log2 n) + 1).
     """
     vertices = g.vertices
-    top = inf if ceiling is None else ceiling
     if n * len(g._rows) <= len(vertices) ** 3 * n.bit_length():
         pos = g.vertex_pos
         succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
         counts = [1] * len(vertices)
+        if ceiling is None:
+            for _ in range(n):
+                counts = [sum([counts[j] for j in s]) for s in succ]
+            return sum(counts)
         for _ in range(n):
-            counts = [min(top, sum([counts[j] for j in s])) for s in succ]
-        return min(sum(counts), top)
+            counts = [min(ceiling, sum([counts[j] for j in s])) for s in succ]
+        return min(sum(counts), ceiling)
+
+    if ceiling is None:
+        return sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
 
     def mul(a, b):
-        return [[min(x, top) for x in row] for row in matmul(a, b)]
+        return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
 
-    m = [[min(x, top) for x in row] for row in g.adjacency_matrix()]
-    return min(sum(map(sum, _power(m, n, mul))), top)
+    m = [[min(x, ceiling) for x in row] for row in g.adjacency_matrix()]
+    return min(sum(map(sum, _power(m, n, mul))), ceiling)
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:

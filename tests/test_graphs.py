@@ -210,6 +210,25 @@ def test_count_paths_takes_the_cheaper_route():
         assert count_paths(g, n) == sum(map(sum, matrix_power(g.adjacency_matrix(), n))), (g, n)
 
 
+def test_exact_counts_on_both_sides_of_the_route_switch():
+    # count_paths takes the recurrence while n E <= V^3 (floor(log2 n) + 1)
+    # and squares the matrix beyond that; for each seeded graph n is taken
+    # just below, at and above the first n past the switch, and each count
+    # must be the exact int that matrix powers give.
+    rng = random.Random(29)
+    routes = {"recurrence": 0, "squaring": 0}
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=4, max_edges=rng.choice((2, 6, 20, 40)))
+        v, e = len(g.vertices), len(g.edges)
+        switch = next((n for n in range(1, 400) if n * e > v ** 3 * n.bit_length()), 400)
+        m = g.adjacency_matrix()
+        for n in {1, max(1, switch - 1), switch, switch + 1, rng.randint(1, switch + 1)}:
+            routes["recurrence" if n * e <= v ** 3 * n.bit_length() else "squaring"] += 1
+            got = count_paths(g, n)
+            assert type(got) is int and got == sum(map(sum, matrix_power(m, n))), (g, n)
+    assert min(routes.values()) >= 200, routes
+
+
 def test_count_paths_matches_matrix_power_on_every_small_graph():
     # All 4,388 graphs of 1-4 vertices and at most 6 edges, up to isomorphism.
     for k in range(1, 5):

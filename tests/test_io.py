@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from graphcstar import (
 
 from graphcstar import graphs
 from graphcstar.graphs import Edge, ValidationIssue
-from graphcstar.io_formats import _DSL_ID, _TOKEN, Diagnostic
+from graphcstar.io_formats import _COMMENT, _DSL_ID, _TOKEN, Diagnostic
 
 from conftest import FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, two_loops
 
@@ -845,3 +846,164 @@ def test_writers_refuse_non_str_ids_with_type_error():
     for write in (serialize_dsl, emit_dot):
         with pytest.raises(TypeError):
             write(g)
+
+
+# -- Parity with the per-row writers and the per-line comment rule ---------------
+#
+# The writers as they were before building their text in whole-graph passes:
+# the same whole-graph id checks, then one formatted line per vertex and per
+# edge, with a per-row test for the marks of a report.
+
+def _per_row_serialize_dsl(g):
+    vertices = g.vertices
+    rows = g._rows
+    names = [*vertices, *[e[0] for e in rows]]
+    joined = " ".join(names)
+    if "#" in joined or joined.split() != names:
+        for name in names:
+            if not _DSL_ID.match(name):
+                raise ValueError(f"id {name!r} cannot be written in the DSL")
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge {eid} {src} {dst}" for eid, src, dst in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _per_row_emit_dot(target):
+    if isinstance(target, Graph):
+        g, report = target, None
+    else:
+        g, report = target.graph, target
+    cycle_edges = frozenset()
+    marked_vertices = frozenset()
+    lines = ["digraph G {"]
+    if report is not None:
+        if report.violating_cycle is not None:
+            cycle_edges = frozenset(report.violating_cycle.edges)
+        full = frozenset(g.vertices)
+        marked_vertices = frozenset(
+            v for s in report.saturated_hereditary_lattice.elements if s and s != full for v in s)
+        lines.append(f"  // simplicity: {report.simplicity}")
+    vertices = g.vertices
+    rows = g._rows
+    names, labelled = vertices, rows
+    joined = " ".join([*vertices, *[e[0] for e in rows]])
+    if '"' in joined or "\\" in joined:
+        quoted = {v: _reference_dot_quote(v)[1:-1] for v in vertices}
+        names = quoted.values()
+        labelled = [(_reference_dot_quote(eid)[1:-1], quoted[src], quoted[dst])
+                    for eid, src, dst in rows]
+    lines += [f'  "{name}" [style=filled, fillcolor=lightgrey];' if v in marked_vertices
+              else f'  "{name}";' for v, name in zip(vertices, names)]
+    lines += [f'  "{src}" -> "{dst}" [label="{eid}", color=red];' if row[0] in cycle_edges
+              else f'  "{src}" -> "{dst}" [label="{eid}"];'
+              for row, (eid, src, dst) in zip(rows, labelled)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# Edge ids for the writer cases; two of them hold a character DOT escapes.
+_EDGE_STEMS = ("e", "f", 'q"', "b\\")
+
+
+def _writer_cases(rng):
+    """Seeded graphs of every shape the writers treat apart: the empty
+    graph, vertices only, loops and parallel edges, and ids holding a quote
+    or a backslash."""
+    yield Graph((), ())
+    for _ in range(100):
+        yield Graph([f"v{i}" for i in range(rng.randint(1, 6))], ())
+    for _ in range(400):
+        pool = rng.choice((("u", "w", "x", "é"), ("u", 'a"b', "c\\d", '"', "\\")))
+        vs = rng.sample(pool, rng.randint(1, len(pool)))
+        # Few vertices and up to eight edges, so loops and parallel edges abound.
+        es = [(rng.choice(_EDGE_STEMS) + str(i), rng.choice(vs), rng.choice(vs))
+              for i in range(rng.randrange(9))]
+        yield Graph(vs, es)
+
+
+def test_writers_match_per_row_writers():
+    rng = random.Random(2027)
+    seen = dict.fromkeys(("vertices only", "loop", "parallel", "escaped",
+                          "red", "grey", "red and grey"), 0)
+    for g in _writer_cases(rng):
+        assert _written(serialize_dsl, g) == _written(_per_row_serialize_dsl, g), repr(g)
+        assert emit_dot(g) == _per_row_emit_dot(g), repr(g)
+        if not g.vertices:  # the empty graph has no report
+            assert (serialize_dsl(g), emit_dot(g)) == ("\n", "digraph G {\n}\n")
+            continue
+        pairs = [(src, dst) for _, src, dst in g._rows]
+        seen["vertices only"] += not pairs
+        seen["loop"] += any(src == dst for src, dst in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["escaped"] += any('"' in x or "\\" in x for x in (*g.vertices, *g.edge_map))
+        report = classify(g)
+        got = emit_dot(report)
+        assert got == _per_row_emit_dot(report), repr(g)
+        red, grey = "color=red" in got, "fillcolor=lightgrey" in got
+        seen["red"] += red
+        seen["grey"] += grey
+        seen["red and grey"] += red and grey
+    assert min(seen.values()) >= 40, seen
+
+
+def _uncommented(text):
+    """``text`` with each comment cut off its line by the per-line rule."""
+    out = []
+    for line in text.splitlines(keepends=True):
+        body = line.splitlines()[0]
+        out.append(body.split("#", 1)[0] + line[len(body):])
+    return "".join(out)
+
+
+def _commented(text, place, rng):
+    """``text``, which holds no '#', with comments on the first line, the
+    last line, every line, inside one token (``a#b``), or nowhere."""
+    def note(line):
+        body = line.splitlines()[0]
+        return body + rng.choice(("#", " # x", "#edge a b c", "\t#é#")) + line[len(body):]
+
+    lines = text.splitlines(keepends=True)
+    if place == "first":
+        lines[0] = note(lines[0])
+    elif place == "last":
+        lines[-1] = note(lines[-1])
+    elif place == "every":
+        lines = [note(line) for line in lines]
+    elif place == "token":
+        at = rng.choice([m.start() + 1 for m in _TOKEN.finditer(text) if len(m.group()) > 1])
+        return text[:at] + "#" + text[at:]
+    return "".join(lines)
+
+
+def test_comment_pass_matches_per_line_rule():
+    # _reference_parse_dsl cuts the comment off each line on its own; every
+    # outcome, and each diagnostic's line and column, must agree with it.
+    rng = random.Random(2028)
+    outcomes = {place: {"ok": 0, "failed": 0}
+                for place in ("first", "last", "every", "token", "nowhere")}
+    for _ in range(500):
+        base = _uncommented(_random_dsl(rng))
+        for place, seen in outcomes.items():
+            text = _commented(base, place, rng)
+            assert ("#" in text) == (place != "nowhere")
+            got = _outcome(parse_dsl, text)
+            assert got == _outcome(_reference_parse_dsl, text), (place, repr(text))
+            seen["ok" if got[0] == "ok" else "failed"] += 1
+    # both outcomes occur for every placement; a cut token mostly fails
+    assert all(min(seen.values()) >= 10 for seen in outcomes.values()), outcomes
+
+
+def test_comment_pattern_ends_where_splitlines_does():
+    # parse_dsl's one comment pass is the per-line rule exactly when a
+    # comment stops at each code point str.splitlines splits on and runs on
+    # over every other one.  After each "x#y" comes one code point: a
+    # comment stopping early would leave text behind, and one running over
+    # a line break would lose a line.
+    text = "".join("x#y" + chr(c) + "z" for c in range(0x110000))
+    expected = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    assert len(expected) == 11  # split at the ten line breaks
+    assert [line.rstrip(" ") for line in re.sub(_COMMENT, " ", text).splitlines()] == expected
+    # A comment between "\r" and "\n" keeps them two line breaks.
+    with pytest.raises(GraphSemanticError) as err:
+        parse_dsl("vertex u\r#c\nvertex u\n")
+    assert [(d.line, d.column) for d in err.value.diagnostics] == [(3, 8)]
