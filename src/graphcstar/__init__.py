@@ -17,12 +17,12 @@ _MODULE_OF = {name: module for module, names in (
     ("correspondence", "PathVector VertexWeights inner_product is_nonreturning_vector "
                        "left_action norm operator_sandwich sup_norm"),
     ("graphs", "CapExceeded Connectivity Edge Graph InternalInvariantError InvalidGraphError "
-               "Path ValidationIssue ValidationResult VertexClasses connectivity count_paths "
-               "cycle_exits paths_of_length power_graph simple_cycles vertex_classes"),
+               "Path ValidationIssue ValidationResult VertexClasses connectivity vertex_classes"),
     ("ideals", "SubsetLattice is_hereditary is_saturated lattice lattice_bruteforce "
                "saturated_hereditary_closure"),
     ("io_formats", "Diagnostic FormatError GraphSemanticError ParseError emit_dot parse_dsl "
                    "parse_json serialize_dsl serialize_json"),
+    ("paths", "count_paths cycle_exits paths_of_length power_graph simple_cycles"),
     ("verdicts", "CITATIONS AnalysisReport ReportFlags SchweizerStatus classify "
                  "report_to_dict schweizer_check simplicity_verdict"),
 ) for name in names.split()}

@@ -8,13 +8,13 @@ code); :func:`main` loads the graph, maps errors to exit codes, and writes
 the text.
 
 Start-up is most of a call's time, so each subcommand imports only the code
-it runs: ``dot``, ``power`` and ``cycles`` load ``graphs`` and ``io_formats``
-(and ``json`` only for JSON input or output), while ``analyze``,
-``classify``, ``ideals``, ``witness`` and ``dot --annotate`` import the
-verdict modules they need when they run.  Only ``witness`` loads
-``correspondence``, and no subcommand loads ``dataclasses`` or ``inspect``;
-the text report is rendered from :func:`~graphcstar.verdicts.report_to_dict`,
-as the JSON one is.
+it runs: every one loads ``graphs`` and ``io_formats`` (and ``json`` only
+for JSON input or output); ``power`` and ``cycles`` import ``paths`` when
+they run, and ``analyze``, ``classify``, ``ideals``, ``witness`` and
+``dot --annotate`` the verdict modules they need.  No other subcommand
+loads ``paths``, only ``witness`` loads ``correspondence``, and none loads
+``dataclasses`` or ``inspect``; the text report is rendered from
+:func:`~graphcstar.verdicts.report_to_dict`, as the JSON one is.
 
 Exit codes: 0 success; 1 parse or schema error (JSON nested too deeply or
 holding an integer of more than 4,300 digits included), or an input file that
@@ -37,8 +37,6 @@ from .graphs import (
     CapExceeded,
     Graph,
     InternalInvariantError,
-    power_graph,
-    simple_cycles,
 )
 from .io_formats import (
     FormatError,
@@ -158,6 +156,7 @@ def _cmd_classify(g: Graph, args) -> str:
 
 
 def _cmd_power(g: Graph, args) -> str:
+    from .paths import power_graph
     result = power_graph(g, args.power, cap=_path_cap(args, DEFAULT_POWER_CAP))
     if args.format == "json":
         return _json_text(serialize_json(result), indent=2)
@@ -165,6 +164,7 @@ def _cmd_power(g: Graph, args) -> str:
 
 
 def _cmd_cycles(g: Graph, args) -> str:
+    from .paths import simple_cycles
     cycles = simple_cycles(g, cap=_path_cap(args, DEFAULT_CYCLE_CAP))
     if args.format == "json":
         return _json_text([list(c.edges) for c in cycles])

@@ -26,8 +26,6 @@ from .graphs import (
     _refuse_tuple_arithmetic,
     _same_graph,
     _walks,
-    cycle_exits,
-    simple_cycles,
 )
 
 if TYPE_CHECKING:
@@ -94,6 +92,7 @@ def condition_L_bruteforce(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionL
     elementary cycles suffice.  Kept independent of :func:`condition_L` as a
     cross-check.
     """
+    from .paths import cycle_exits, simple_cycles
     for c in simple_cycles(g, cap=cap):
         if not cycle_exits(g, c):
             return ConditionL(False, c)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcstar import Graph, graphs, serialize_json
+from graphcstar import Graph, paths, serialize_json
 from graphcstar.cli import main
 
 from conftest import FIXTURES_DIR, cycle_graph, fixture_path, time_limit
@@ -103,7 +103,7 @@ def test_power_cap_on_huge_count_exits_3(capsys):
 
 def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch):
     validations, walks = [], []
-    validate, walk = Graph.validate, graphs._violations
+    validate, walk = Graph.validate, paths._violations
 
     def counting_validate(self):
         validations.append(len(self._edges))
@@ -114,7 +114,7 @@ def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch)
         return walk(vertices, rows)
 
     monkeypatch.setattr(Graph, "validate", counting_validate)
-    monkeypatch.setattr(graphs, "_violations", counting_walk)
+    monkeypatch.setattr(paths, "_violations", counting_walk)
     for fmt in ("text", "json"):
         walks.clear()
         code, out, _ = run(capsys, "power", G_EXIT, "-n", "10", "--format", fmt)

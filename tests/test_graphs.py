@@ -20,7 +20,7 @@ from graphcstar import (
     simple_cycles,
     vertex_classes,
 )
-from graphcstar.graphs import _count_paths_saturating, matmul, matrix_power
+from graphcstar.paths import _count_paths_saturating, matmul, matrix_power
 
 from conftest import (
     chain_graph,

@@ -268,7 +268,7 @@ def test_split_agrees_with_token_regex_on_every_code_point():
     # The DSL parser splits lines with str.split and finds columns with
     # _TOKEN only for lines with a diagnostic; both must see the same tokens.
     text = "x".join(map(chr, range(0x110000)))
-    assert text.split() == _TOKEN.findall(text)
+    assert text.split() == re.findall(_TOKEN, text)
 
 
 # -- Parity with the previous parsers -------------------------------------------
@@ -295,7 +295,7 @@ def _reference_parse_dsl(text):
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(_TOKEN, line)]
         if not tokens:
             continue
         word, col = tokens[0]
@@ -731,7 +731,7 @@ def test_parse_json_returns_a_graph_proven_valid(monkeypatch):
 
 def _reference_serialize_dsl(g):
     for name in (*g.vertices, *(e[0] for e in g._rows)):
-        if not _DSL_ID.match(name):
+        if not re.match(_DSL_ID, name):
             raise ValueError(f"id {name!r} cannot be written in the DSL")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {eid} {src} {dst}" for eid, src, dst in g._rows]
@@ -830,8 +830,8 @@ def test_joined_id_check_agrees_with_id_regex_on_every_code_point():
     bad = []
     for plane in range(0, 0x110000, 0x10000):
         names = ["a" + chr(c) for c in range(plane, plane + 0x10000)]
-        serialize_dsl(Graph([name for name in names if _DSL_ID.match(name)], ()))
-        bad += [name for name in names if not _DSL_ID.match(name)]
+        serialize_dsl(Graph([name for name in names if re.match(_DSL_ID, name)], ()))
+        bad += [name for name in names if not re.match(_DSL_ID, name)]
     assert len(bad) == 30  # '#' and the 29 code points str.split splits on
     for name in bad:
         with pytest.raises(ValueError, match="cannot be written in the DSL"):
@@ -861,7 +861,7 @@ def _per_row_serialize_dsl(g):
     joined = " ".join(names)
     if "#" in joined or joined.split() != names:
         for name in names:
-            if not _DSL_ID.match(name):
+            if not re.match(_DSL_ID, name):
                 raise ValueError(f"id {name!r} cannot be written in the DSL")
     lines = [f"vertex {v}" for v in vertices]
     lines += [f"edge {eid} {src} {dst}" for eid, src, dst in rows]
@@ -970,7 +970,7 @@ def _commented(text, place, rng):
     elif place == "every":
         lines = [note(line) for line in lines]
     elif place == "token":
-        at = rng.choice([m.start() + 1 for m in _TOKEN.finditer(text) if len(m.group()) > 1])
+        at = rng.choice([m.start() + 1 for m in re.finditer(_TOKEN, text) if len(m.group()) > 1])
         return text[:at] + "#" + text[at:]
     return "".join(lines)
 

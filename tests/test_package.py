@@ -2,6 +2,7 @@
 ``graphcstar``, and the behaviour of the value types."""
 
 import copy
+import dis
 import doctest
 import gc
 import importlib
@@ -59,6 +60,8 @@ sys.exit(code)
 """
 
 VERDICT_STACK = {f"graphcstar.{m}" for m in ("conditions", "ideals", "verdicts")}
+# Only ``power`` and ``cycles`` enumerate paths.
+PATHS = "graphcstar.paths"
 # Only ``witness`` builds vertex weights.
 WITNESS_STACK = {"graphcstar.correspondence"}
 # Slow standard library imports that no call needs: ``dataclasses`` loads
@@ -83,33 +86,81 @@ def test_graph_commands_load_no_verdict_code(tmp_path, argv):
     loaded = _loaded(tmp_path, argv[0], str(fixture_path("g_two_loops")), *argv[1:])
     assert {"graphcstar.graphs", "graphcstar.io_formats"} <= loaded
     assert not loaded & (VERDICT_STACK | WITNESS_STACK | {"json"})
+    assert (PATHS in loaded) == (argv[0] != "dot")
 
 
 def test_dot_on_json_loads_json_but_no_verdict_code(tmp_path):
     loaded = _loaded(tmp_path, "dot", str(FIXTURES_DIR / "g_exit.json"))
     assert "json" in loaded
-    assert not loaded & (VERDICT_STACK | WITNESS_STACK)
+    assert not loaded & (VERDICT_STACK | WITNESS_STACK | {PATHS})
 
 
 def test_import_loads_no_submodule_and_analyze_loads_all(tmp_path):
     assert not {m for m in _loaded(tmp_path) if m.startswith("graphcstar.")}
     loaded = _loaded(tmp_path, "analyze", str(fixture_path("g_two_loops")))
     assert VERDICT_STACK <= loaded
-    assert not loaded & WITNESS_STACK
+    assert not loaded & (WITNESS_STACK | {PATHS})
 
 
 @pytest.mark.parametrize("argv, needed, unneeded", [
-    (["classify"], VERDICT_STACK, WITNESS_STACK),
-    (["dot", "--annotate"], VERDICT_STACK, WITNESS_STACK),
+    (["classify"], VERDICT_STACK, WITNESS_STACK | {PATHS}),
+    (["dot", "--annotate"], VERDICT_STACK, WITNESS_STACK | {PATHS}),
     (["ideals"], {"graphcstar.ideals"},
-     WITNESS_STACK | {"graphcstar.conditions", "graphcstar.verdicts"}),
+     WITNESS_STACK | {"graphcstar.conditions", "graphcstar.verdicts", PATHS}),
     (["witness", "--support", "u", "--epsilon", "0.5", "--max-length", "3"],
-     {"graphcstar.conditions", "graphcstar.correspondence"}, {"graphcstar.verdicts"}),
+     {"graphcstar.conditions", "graphcstar.correspondence"}, {"graphcstar.verdicts", PATHS}),
 ], ids=["classify", "dot --annotate", "ideals", "witness"])
 def test_verdict_commands_load_what_they_run(tmp_path, argv, needed, unneeded):
     loaded = _loaded(tmp_path, argv[0], str(fixture_path("g_two_loops")), *argv[1:])
     assert needed <= loaded
     assert not loaded & unneeded
+
+
+def _run_python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+def test_verdicts_in_process_load_no_path_enumeration():
+    out = _run_python(
+        "import sys, graphcstar\n"
+        "g = graphcstar.Graph(('u', 'v'), [('a', 'u', 'v'), ('b', 'v', 'u'), ('c', 'u', 'u')])\n"
+        "g.require_valid()\n"
+        "graphcstar.report_to_dict(graphcstar.classify(g))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('graphcstar.')))\n")
+    assert out.split() == sorted(VERDICT_STACK | {"graphcstar.graphs"})
+
+
+def test_io_formats_compiles_no_pattern_at_import():
+    # Each pattern is compiled by re on its first use, as only some inputs
+    # need one.
+    out = _run_python(
+        "import re, graphcstar.io_formats as m\n"
+        "print(*[k for k, v in vars(m).items() if isinstance(v, re.Pattern)])\n")
+    assert out == "\n"
+
+
+def _imports(code) -> list[str]:
+    """The modules ``code`` and the functions nested in it import."""
+    found = [ins.argval for ins in dis.get_instructions(code) if ins.opname == "IMPORT_NAME"]
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            found += _imports(const)
+    return found
+
+
+def test_timed_verdict_routes_import_nothing_when_called():
+    # An import inside a function costs 1.5-2.5 us per call, a large share of
+    # a witness search on a small graph; these run at every call.
+    from graphcstar import cli, conditions, verdicts
+    for fn in (conditions.find_witness, conditions.condition_L, conditions.periodicity,
+               verdicts.classify, verdicts.report_to_dict, vars(Graph)["_condensation"].build):
+        assert _imports(fn.__code__) == [], fn.__qualname__
+    # The oracle and the CLI handlers load what they run on their first call.
+    for fn in (conditions.condition_L_bruteforce, cli._cmd_power, cli._cmd_cycles):
+        assert _imports(fn.__code__) == ["paths"], fn.__qualname__
 
 
 # A parsed graph is proven valid by its parser, so no subcommand checks it
@@ -144,12 +195,12 @@ PUBLIC = {
                        "left_action", "norm", "operator_sandwich", "sup_norm"],
     "graphs": ["CapExceeded", "Connectivity", "Edge", "Graph", "InvalidGraphError", "Path",
                "ValidationIssue", "ValidationResult", "VertexClasses", "connectivity",
-               "count_paths", "cycle_exits", "paths_of_length", "power_graph", "simple_cycles",
                "vertex_classes"],
     "ideals": ["SubsetLattice", "is_hereditary", "is_saturated", "lattice", "lattice_bruteforce",
                "saturated_hereditary_closure"],
     "io_formats": ["Diagnostic", "FormatError", "GraphSemanticError", "ParseError", "emit_dot",
                    "parse_dsl", "parse_json", "serialize_dsl", "serialize_json"],
+    "paths": ["count_paths", "cycle_exits", "paths_of_length", "power_graph", "simple_cycles"],
     "verdicts": ["CITATIONS", "AnalysisReport", "InternalInvariantError", "ReportFlags",
                  "SchweizerStatus", "classify", "report_to_dict", "schweizer_check",
                  "simplicity_verdict"],
@@ -158,7 +209,7 @@ PUBLIC = {
 
 def test_public_surface():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) + len(PUBLIC) == 66
+    assert len(names) + len(PUBLIC) == 67
     assert graphcstar.__all__ == sorted([*names, *PUBLIC])
     for module, names in PUBLIC.items():
         mod = importlib.import_module(f"graphcstar.{module}")
