@@ -5,7 +5,8 @@ files ending in ``.json`` are read in the JSON form, everything else as the
 line DSL, both as UTF-8 with an optional byte-order mark.  Each command
 only computes and returns its output text (witness also returns its exit
 code); :func:`main` loads the graph, maps errors to exit codes, and writes
-the text.
+the text.  A handler reads its cap through :func:`_cap` only when it needs
+it, from one ``_CAPS`` entry; the defaults live in :mod:`graphcstar.graphs`.
 
 Start-up is most of a call's time, so each subcommand imports only the code
 it runs: every one loads ``graphs`` and ``io_formats`` (and ``json`` only
@@ -32,8 +33,8 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
-    DEFAULT_POWER_CAP,
+    DEFAULT_LATTICE_CAP,
+    DEFAULT_PATH_CAP,
     CapExceeded,
     Graph,
     InternalInvariantError,
@@ -55,6 +56,8 @@ if TYPE_CHECKING:
 
 ENV_CAP_VERTICES = "GRAPHCSTAR_CAP_VERTICES"
 ENV_CAP_PATHS = "GRAPHCSTAR_CAP_PATHS"
+_CAPS = {"--cap-vertices": (ENV_CAP_VERTICES, DEFAULT_LATTICE_CAP),
+         "--cap-paths": (ENV_CAP_PATHS, DEFAULT_PATH_CAP)}
 CAP_VERTICES_HELP = ("vertex cap on lattice listings (analyze, ideals, classify --format json, "
                      "dot --annotate; env GRAPHCSTAR_CAP_VERTICES); verdicts need none")
 
@@ -69,10 +72,10 @@ def _load_graph(path: str) -> Graph:
     return parse_dsl(text)
 
 
-def _resolve_cap(flag_value: Optional[int], flag: str, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        value, source = flag_value, flag
-    else:
+def _cap(args) -> int:
+    value, source = args.cap, args.cap_flag
+    env_name, default = _CAPS[source]
+    if value is None:
         env = os.environ.get(env_name)
         if env is None:
             return default
@@ -83,15 +86,6 @@ def _resolve_cap(flag_value: Optional[int], flag: str, env_name: str, default: i
     if value < 0:
         raise ValueError(f"{source} must be nonnegative, got {value}")
     return value
-
-
-def _vertex_cap(args) -> int:
-    from .ideals import DEFAULT_LATTICE_CAP
-    return _resolve_cap(args.cap_vertices, "--cap-vertices", ENV_CAP_VERTICES, DEFAULT_LATTICE_CAP)
-
-
-def _path_cap(args, default: int) -> int:
-    return _resolve_cap(args.cap_paths, "--cap-paths", ENV_CAP_PATHS, default)
 
 
 def _json_text(data, indent: Optional[int] = None) -> str:
@@ -138,7 +132,7 @@ def render_report_text(report: AnalysisReport) -> str:
 
 def _cmd_analyze(g: Graph, args) -> str:
     from .verdicts import classify, report_to_dict
-    report = classify(g, cap=_vertex_cap(args))
+    report = classify(g, cap=_cap(args))
     if args.format == "json":
         return _json_text(report_to_dict(report), indent=2)
     return render_report_text(report)
@@ -157,7 +151,7 @@ def _cmd_classify(g: Graph, args) -> str:
 
 def _cmd_power(g: Graph, args) -> str:
     from .paths import power_graph
-    result = power_graph(g, args.power, cap=_path_cap(args, DEFAULT_POWER_CAP))
+    result = power_graph(g, args.power, cap=_cap(args))
     if args.format == "json":
         return _json_text(serialize_json(result), indent=2)
     return serialize_dsl(result)
@@ -165,7 +159,7 @@ def _cmd_power(g: Graph, args) -> str:
 
 def _cmd_cycles(g: Graph, args) -> str:
     from .paths import simple_cycles
-    cycles = simple_cycles(g, cap=_path_cap(args, DEFAULT_CYCLE_CAP))
+    cycles = simple_cycles(g, cap=_cap(args))
     if args.format == "json":
         return _json_text([list(c.edges) for c in cycles])
     if not cycles:
@@ -178,7 +172,7 @@ _KIND_BY_FLAG = {"hereditary": "hereditary", "satHer": "saturated_hereditary"}
 
 def _cmd_ideals(g: Graph, args) -> str:
     from .ideals import _listings
-    (subsets,) = _listings(g, (_KIND_BY_FLAG[args.kind],), _vertex_cap(args))
+    (subsets,) = _listings(g, (_KIND_BY_FLAG[args.kind],), _cap(args))
     if args.format == "json":
         return _json_text(subsets)
     return "".join(_subset_str(s) + "\n" for s in subsets)
@@ -220,7 +214,7 @@ def _cmd_dot(g: Graph, args) -> str:
     if not args.annotate:
         return emit_dot(g)
     from .verdicts import classify
-    return emit_dot(classify(g, cap=_vertex_cap(args)))
+    return emit_dot(classify(g, cap=_cap(args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,24 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("analyze", _cmd_analyze, "full structural report")
-    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
+    def add_cap(p, flag="--cap-vertices", help_text=CAP_VERTICES_HELP):
+        p.add_argument(flag, type=int, dest="cap", metavar=flag[2:].replace("-", "_").upper(),
+                       help=help_text)
+        p.set_defaults(cap_flag=flag)
 
-    p = add("classify", _cmd_classify, "counterexample classification")
-    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
+    add_cap(add("analyze", _cmd_analyze, "full structural report"))
+
+    add_cap(add("classify", _cmd_classify, "counterexample classification"))
 
     p = add("power", _cmd_power, "emit the n-th power graph")
     p.add_argument("-n", "--power", type=int, required=True)
-    p.add_argument("--cap-paths", type=int, default=None,
-                   help="edge count cap (env GRAPHCSTAR_CAP_PATHS)")
+    add_cap(p, "--cap-paths", "edge count cap (env GRAPHCSTAR_CAP_PATHS)")
 
-    p = add("cycles", _cmd_cycles, "list elementary cycles")
-    p.add_argument("--cap-paths", type=int, default=None,
-                   help="cycle count cap (env GRAPHCSTAR_CAP_PATHS)")
+    add_cap(add("cycles", _cmd_cycles, "list elementary cycles"), "--cap-paths",
+            "cycle count cap (env GRAPHCSTAR_CAP_PATHS)")
 
     p = add("ideals", _cmd_ideals, "list the subset lattice")
     p.add_argument("--kind", choices=tuple(_KIND_BY_FLAG), default="satHer")
-    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
+    add_cap(p)
 
     p = add("witness", _cmd_witness, "search for a nonreturning witness path")
     group = p.add_mutually_exclusive_group(required=True)
@@ -268,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dot", _cmd_dot, "emit DOT")
     p.add_argument("--annotate", action="store_true",
                    help="color exitless cycles and invariant subsets from the report")
-    p.add_argument("--cap-vertices", type=int, default=None, help=CAP_VERTICES_HELP)
+    add_cap(p)
 
     return parser
 

@@ -19,7 +19,7 @@ from math import fsum, isfinite, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
+    DEFAULT_PATH_CAP,
     Graph,
     Path,
     _power,
@@ -85,7 +85,7 @@ def condition_L(g: Graph) -> ConditionL:
     return ConditionL(False, Path(g, tuple(trail)))
 
 
-def condition_L_bruteforce(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionL:
+def condition_L_bruteforce(g: Graph, cap: int = DEFAULT_PATH_CAP) -> ConditionL:
     """Reference route: enumerate elementary cycles and test each for exits.
 
     Exitless cycles never revisit a vertex (out-degree one along the way), so
@@ -262,7 +262,7 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     # The rounded sup - epsilon decides every weight but one equal to it,
     # which exceeds the exact value when the exact residual is negative.
     threshold = req.a.sup_norm - req.epsilon
-    first = [e for e in rows if (w := req.a(e[1])) > threshold or w == threshold
+    first = [e for e in rows if (w := req.a.weights.get(e[1], 0.0)) > threshold or w == threshold
              and fsum((req.a.sup_norm, -req.epsilon, -threshold)) < 0]
     for m in range(req.n + 1, req.max_length + 1):
         seq = None

@@ -23,6 +23,9 @@ rows, the vertices that emit an edge and those that receive one; only the
 routines that walk edges build per-vertex edge lists.  One Tarjan pass
 records the strongly connected components, the links between them and the
 kind of each (``Graph._condensation``), and every verdict reads that record.
+
+Caps bound only enumerations, never a verdict; their defaults and the one
+refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-DEFAULT_POWER_CAP = 10**6
-DEFAULT_CYCLE_CAP = 10**6
+DEFAULT_LATTICE_CAP = 16
+DEFAULT_PATH_CAP = 10**6
 
 
 class CapExceeded(Exception):
@@ -40,6 +43,11 @@ class CapExceeded(Exception):
     No partial results are produced: callers either get the complete answer
     or this error.
     """
+
+
+def _refuse_negative_cap(cap: int, name: str) -> None:
+    if cap < 0:
+        raise ValueError(f"{name} cap must be nonnegative, got {cap}")
 
 
 class InternalInvariantError(AssertionError):

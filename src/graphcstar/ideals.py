@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import (CapExceeded, Graph, _memoised, _refuse_assignment, _refuse_deletion,
-                     _refuse_str, _vertex_set)
-
-DEFAULT_LATTICE_CAP = 16
+from .graphs import (DEFAULT_LATTICE_CAP, CapExceeded, Graph, _memoised, _refuse_assignment,
+                     _refuse_deletion, _refuse_negative_cap, _refuse_str, _vertex_set)
 
 KINDS = ("hereditary", "saturated_hereditary")
 
@@ -180,8 +178,7 @@ def lattice_bruteforce(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> S
 def _check_lattice_args(g: Graph, kind: str, cap: int) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown lattice kind {kind!r}")
-    if cap < 0:
-        raise ValueError(f"vertex cap must be nonnegative, got {cap}")
+    _refuse_negative_cap(cap, "vertex")
     n = len(g.vertices)
     if n > cap:
         raise CapExceeded(

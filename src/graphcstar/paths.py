@@ -19,13 +19,13 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .graphs import (
-    DEFAULT_CYCLE_CAP,
-    DEFAULT_POWER_CAP,
+    DEFAULT_PATH_CAP,
     CapExceeded,
     Edge,
     Graph,
     Path,
     _power,
+    _refuse_negative_cap,
     _set_edges,
     _set_graph,
     _vertex_set,
@@ -90,7 +90,7 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
+def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     """The graph whose edges are the length-``n`` paths of ``g``.
 
     Vertices are unchanged; each length-n path becomes one edge from its
@@ -99,7 +99,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges, and with ValueError when ``cap`` is negative.
 
-    Cost: the cap check takes O(min(n E, V^3 log n)); then O(min(n, V) E) to
+    Cost: the cap check takes O(min(n (V+E), V^3 log n)); then O(min(n, V) E) to
     find the vertices that start a path of each length, and O(output
     characters * log n) to build the ids.  Each path is split into its first
     edge, a left half and a right half of about (n-1)/2 edges; the halves
@@ -114,8 +114,7 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_POWER_CAP) -> Graph:
     """
     if n < 1:
         raise ValueError("power must be at least 1")
-    if cap < 0:
-        raise ValueError(f"path cap must be nonnegative, got {cap}")
+    _refuse_negative_cap(cap, "path")
     if _count_paths_saturating(g, n, cap + 1) > cap:
         raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
     # alive[r]: the vertices with an outgoing path of length r.  Each set is
@@ -190,21 +189,22 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     products, so clamping every partial count keeps it equal to the clamped
     exact count.  Two routes, picked by input size: the per-vertex
     recurrence c_r(v) = min(ceiling, sum of c_{r-1}(dst e) over e out of v),
-    with c_0 = 1, takes O(n E); squaring the V x V matrix takes
-    O(V^3 log n).  The recurrence runs when n E <= V^3 (floor(log2 n) + 1).
+    with c_0 = 1, costs V+E a step and stops at a step that changes no
+    count (all later ones repeat it); squaring the V x V matrix takes
+    O(V^3 log n).  The recurrence runs when n (V+E) <= V^3 (floor(log2 n) + 1).
     """
     vertices = g.vertices
-    if n * len(g._rows) <= len(vertices) ** 3 * n.bit_length():
+    if n * (len(vertices) + len(g._rows)) <= len(vertices) ** 3 * n.bit_length():
         pos = g.vertex_pos
         succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
         counts = [1] * len(vertices)
-        if ceiling is None:
-            for _ in range(n):
-                counts = [sum([counts[j] for j in s]) for s in succ]
-            return sum(counts)
         for _ in range(n):
-            counts = [min(ceiling, sum([counts[j] for j in s])) for s in succ]
-        return min(sum(counts), ceiling)
+            last, counts = counts, [sum([counts[j] for j in s]) for s in succ]
+            if ceiling is not None:
+                counts = [min(ceiling, c) for c in counts]
+            if counts == last:
+                break
+        return sum(counts) if ceiling is None else min(sum(counts), ceiling)
 
     if ceiling is None:
         return sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
@@ -216,7 +216,7 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     return min(sum(map(sum, _power(m, n, mul))), ceiling)
 
 
-def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
+def simple_cycles(g: Graph, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     """All elementary cycles, one canonical representative per rotation class.
 
     A cycle is elementary when its edge sources are pairwise distinct, i.e.
@@ -237,8 +237,7 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[Path]:
     costs O(n), not O(n^2).  Cycles are kept as edge-id tuples and made
     paths at the end by :func:`_paths`.  Memory is O(V+E) beyond the result.
     """
-    if cap < 0:
-        raise ValueError(f"cycle cap must be nonnegative, got {cap}")
+    _refuse_negative_cap(cap, "cycle")
     pos = g.vertex_pos
     out = g._out
     inc = g._in

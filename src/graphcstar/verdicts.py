@@ -18,8 +18,8 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .conditions import ConditionL, ConditionS, _condition_S, condition_L, periodicity
-from .graphs import Graph, InternalInvariantError, Path
-from .ideals import DEFAULT_LATTICE_CAP, KINDS, SubsetLattice, _listings, _trivial_flags, lattice
+from .graphs import DEFAULT_LATTICE_CAP, Graph, InternalInvariantError, Path, _refuse_negative_cap
+from .ideals import KINDS, SubsetLattice, _listings, _trivial_flags, lattice
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -161,8 +161,7 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     graph"), as :func:`periodicity` is defined for nonempty graphs only;
     :func:`simplicity_verdict` needs no period and calls it simple.
     """
-    if cap < 0:
-        raise ValueError(f"vertex cap must be nonnegative, got {cap}")
+    _refuse_negative_cap(cap, "vertex")
     n = len(g.vertices)
     has_sinks = len(g._emitters) < n
     has_sources = len(g._receivers) < n

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcstar import Graph, paths, serialize_json
+from graphcstar import Graph, parse_dsl, paths, serialize_json
 from graphcstar.cli import main
 
 from conftest import FIXTURES_DIR, cycle_graph, fixture_path, time_limit
@@ -92,6 +92,32 @@ def test_negative_caps_exit_2(capsys, monkeypatch):
         monkeypatch.setenv(env, "-2")
         assert run(capsys, *argv) == (2, "", f"error: {env} must be nonnegative, got -2\n")
         monkeypatch.delenv(env)
+
+
+def test_cap_flags_are_read_only_where_used(tmp_path, capsys):
+    # Text classify and plain dot list no lattice, so they read no vertex
+    # cap; a missing file is reported before any cap is read.
+    for argv in (["classify", G_EXIT], ["dot", G_EXIT]):
+        code, out, err = run(capsys, *argv, "--cap-vertices", "-1")
+        assert code == 0 and out and err == "", argv
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["ideals", missing, "--cap-vertices", "-1"],
+                 ["power", missing, "-n", "2", "--cap-paths", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "No such file" in err, argv
+
+
+def test_power_on_sparse_graphs_takes_no_step_per_length(tmp_path, capsys):
+    # The path count once charged a recurrence step E, not V+E, and so ran
+    # all n steps on these graphs; they must answer at once.
+    hundred = "".join(f"vertex v{i}\n" for i in range(100)) + "edge e v0 v1\n"
+    for text, n in (("vertex u\n", 10**7), (hundred, 10**5)):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        m = paths.matrix_power(parse_dsl(text).adjacency_matrix(), n)
+        with time_limit(2):
+            code, out, _ = run(capsys, "power", str(path), "-n", str(n), "--format", "json")
+        assert code == 0 and len(json.loads(out)["edges"]) == sum(map(sum, m))
 
 
 def test_power_cap_on_huge_count_exits_3(capsys):

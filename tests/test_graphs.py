@@ -190,7 +190,7 @@ def test_saturating_count_is_clamped_exact_count():
         n = rng.randint(1, 40)
         ceiling = rng.choice((1, 2, 5, 30, 1000, 10**12))
         # The rule _count_paths_saturating uses to pick its route.
-        cheap = n * len(g.edges) <= len(g.vertices) ** 3 * n.bit_length()
+        cheap = n * (len(g.vertices) + len(g.edges)) <= len(g.vertices) ** 3 * n.bit_length()
         routes["recurrence" if cheap else "squaring"] += 1
         exact = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
         assert _count_paths_saturating(g, n, ceiling) == min(exact, ceiling), (g, n)
@@ -211,7 +211,7 @@ def test_count_paths_takes_the_cheaper_route():
 
 
 def test_exact_counts_on_both_sides_of_the_route_switch():
-    # count_paths takes the recurrence while n E <= V^3 (floor(log2 n) + 1)
+    # count_paths takes the recurrence while n (V+E) <= V^3 (floor(log2 n) + 1)
     # and squares the matrix beyond that; for each seeded graph n is taken
     # just below, at and above the first n past the switch, and each count
     # must be the exact int that matrix powers give.
@@ -220,13 +220,30 @@ def test_exact_counts_on_both_sides_of_the_route_switch():
     for _ in range(200):
         g = random_graph(rng, max_vertices=4, max_edges=rng.choice((2, 6, 20, 40)))
         v, e = len(g.vertices), len(g.edges)
-        switch = next((n for n in range(1, 400) if n * e > v ** 3 * n.bit_length()), 400)
+        switch = next((n for n in range(1, 400) if n * (v + e) > v ** 3 * n.bit_length()), 400)
         m = g.adjacency_matrix()
         for n in {1, max(1, switch - 1), switch, switch + 1, rng.randint(1, switch + 1)}:
-            routes["recurrence" if n * e <= v ** 3 * n.bit_length() else "squaring"] += 1
+            routes["recurrence" if n * (v + e) <= v ** 3 * n.bit_length() else "squaring"] += 1
             got = count_paths(g, n)
             assert type(got) is int and got == sum(map(sum, matrix_power(m, n))), (g, n)
     assert min(routes.values()) >= 200, routes
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("g, n", [
+    (Graph(("u",), ()), 10**7),
+    (Graph(tuple(f"v{i}" for i in range(100)), (("e", "v0", "v1"),)), 10**5),
+    (Graph(tuple(f"v{i}" for i in range(100)), (("e", "v0", "v0"),)), 10**5),
+])
+def test_path_counts_on_sparse_graphs_take_no_step_per_length(g, n):
+    # A recurrence step costs V+E, not E; charged E alone, these graphs ran
+    # all n steps.  Now the first squares, and the others stop at the first
+    # step that changes no count.
+    expected = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
+    with time_limit(2):
+        assert count_paths(g, n) == expected
+        p = power_graph(g, n)
+    assert p.vertices == g.vertices and len(p.edges) == expected
 
 
 def test_count_paths_matches_matrix_power_on_every_small_graph():
