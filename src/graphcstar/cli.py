@@ -1,12 +1,12 @@
 """Command line interface.
 
-Subcommands: analyze, power, cycles, ideals, witness, classify, dot.  Input
-files ending in ``.json`` are read in the JSON form, everything else as the
-line DSL, both as UTF-8 with an optional byte-order mark.  Each command
-only computes and returns its output text (witness also returns its exit
-code); :func:`main` loads the graph, maps errors to exit codes, and writes
-the text.  A handler reads its cap through :func:`_cap` only when it needs
-it, from one ``_CAPS`` entry; the defaults live in :mod:`graphcstar.graphs`.
+Subcommands: analyze, power, cycles, ideals, witness, classify, dot (DOT only,
+no ``--format``).  Input files ending in ``.json`` are read in the JSON form,
+everything else as the line DSL, both as UTF-8 with an optional byte-order
+mark.  Each command only computes and returns its output text (witness also
+returns its exit code); :func:`main` loads the graph, maps errors to exit
+codes, and writes the text.  A handler reads its cap through :func:`_cap` only
+when it needs it, from one ``_CAPS`` entry; the defaults live in ``graphs``.
 
 Start-up is most of a call's time, so each subcommand imports only the code
 it runs: every one loads ``graphs`` and ``io_formats`` (and ``json`` only
@@ -225,10 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "ideal lattices, periodicity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="graph file (.json for JSON, otherwise DSL)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(func=func)
         return p
 
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--max-length", type=int, required=True)
 
-    p = add("dot", _cmd_dot, "emit DOT")
+    p = add("dot", _cmd_dot, "emit DOT", formats=())
     p.add_argument("--annotate", action="store_true",
                    help="color exitless cycles and invariant subsets from the report")
     add_cap(p)

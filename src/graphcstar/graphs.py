@@ -555,4 +555,4 @@ def connectivity(g: Graph) -> Connectivity:
                 parent[c] = c = parent[parent[c]]
             parent[c] = k
     roots = sum(c == p for c, p in enumerate(parent))
-    return Connectivity(roots == 1, kinds in (("exitless",), ("cyclic",)))
+    return Connectivity(roots == 1, len(kinds) == 1 and kinds[0] != "acyclic")

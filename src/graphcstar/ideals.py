@@ -75,12 +75,12 @@ def _trivial_flags(g: Graph) -> tuple[bool, bool]:
     """Whether the hereditary and the saturated hereditary lattices are
     trivial: the first iff there is at most one component, as a nonempty
     hereditary set holds a terminal one; the second iff at most one is
-    terminal and no other is ``"cyclic"`` (exitless ones are terminal), as
-    saturation adds acyclic ones, but not a second terminal component, nor a
-    cyclic one to the vertices that cannot reach it."""
+    terminal and every other is ``"acyclic"``, as saturation adds acyclic
+    ones, but not a second terminal component, nor one with a cycle to the
+    vertices that cannot reach it."""
     _, successors, kinds = g._condensation
     inner = [kind for kind, entered in zip(kinds, successors) if entered]
-    return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and "cyclic" not in inner
+    return len(kinds) <= 1, len(kinds) - len(inner) <= 1 and set(inner) <= {"acyclic"}
 
 
 class SubsetLattice(NamedTuple("SubsetLattice", [

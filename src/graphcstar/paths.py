@@ -68,8 +68,8 @@ def paths_of_length(
 
 
 def count_paths(g: Graph, n: int) -> int:
-    """Number of paths of length ``n`` (exact), by a per-vertex recurrence or
-    by adjacency matrix powers, whichever costs less at this size."""
+    """Number of paths of length ``n`` (exact), by a per-vertex recurrence
+    until the counts settle, or by matrix powers if n steps cost more."""
     if n < 1:
         raise ValueError("path length must be at least 1")
     return _count_paths_saturating(g, n)
@@ -99,18 +99,18 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges, and with ValueError when ``cap`` is negative.
 
-    Cost: the cap check takes O(min(n (V+E), V^3 log n)); then O(min(n, V) E) to
-    find the vertices that start a path of each length, and O(output
-    characters * log n) to build the ids.  Each path is split into its first
-    edge, a left half and a right half of about (n-1)/2 edges; the halves
-    are joined from memoised tables of shorter suffixes, and a table holds
-    only the subpaths that extend to some length-n path, so dead ends are
-    never built and, on branching graphs, no table holds much more than the
-    square root of the output.  The interpreter runs once per first edge and
-    left half: one C-level ``map`` over the right halves' ``(ids, ends)``
-    columns emits all the edges that share them.  The rows are
-    :class:`Edge` objects, which the garbage collector never stops scanning;
-    on outputs of 10^4 edges and more its scans take about 40% of the time.
+    Cost: the cap check takes O(min(n (V+E), (V+1)(V+E) + V^3 log n)); then
+    O(min(n, V) E) to find the vertices that start a path of each length, and
+    O(output characters * log n) to build the ids.  Each path is split into its
+    first edge, a left half and a right half of about (n-1)/2 edges; the halves
+    are joined from memoised tables of shorter suffixes, and a table holds only
+    the subpaths that extend to some length-n path, so dead ends are never built
+    and, on branching graphs, no table holds much more than the square root of
+    the output.  The interpreter runs once per first edge and left half: one
+    C-level ``map`` over the right halves' ``(ids, ends)`` columns emits all the
+    edges that share them.  The rows are :class:`Edge` objects, which the
+    garbage collector never stops scanning; on outputs of 10^4 edges and more
+    its scans take about 40% of the time.
     """
     if n < 1:
         raise ValueError("power must be at least 1")
@@ -187,33 +187,31 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
     products, so clamping every partial count keeps it equal to the clamped
-    exact count.  Two routes, picked by input size: the per-vertex
-    recurrence c_r(v) = min(ceiling, sum of c_{r-1}(dst e) over e out of v),
-    with c_0 = 1, costs V+E a step and stops at a step that changes no
-    count (all later ones repeat it); squaring the V x V matrix takes
-    O(V^3 log n).  The recurrence runs when n (V+E) <= V^3 (floor(log2 n) + 1).
+    exact count.  It steps c_0 = 1, c_r(v) = min(ceiling, sum of c_{r-1}(dst e)
+    over e out of v), at V+E a step, until a step changes no count.  Exact
+    counts that settle do so within V+1 steps, as each path from a settled
+    vertex is a simple prefix into a sink or an exitless cycle.  So when n
+    steps cost more than squaring, n (V+E) > V^3 (floor(log2 n) + 1), counts
+    still changing after V+1 steps come from the matrix's n-th power instead.
     """
     vertices = g.vertices
-    if n * (len(vertices) + len(g._rows)) <= len(vertices) ** 3 * n.bit_length():
-        pos = g.vertex_pos
-        succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
-        counts = [1] * len(vertices)
-        for _ in range(n):
-            last, counts = counts, [sum([counts[j] for j in s]) for s in succ]
-            if ceiling is not None:
-                counts = [min(ceiling, c) for c in counts]
-            if counts == last:
-                break
-        return sum(counts) if ceiling is None else min(sum(counts), ceiling)
+    pos = g.vertex_pos
+    succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
 
-    if ceiling is None:
-        return sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
+    def clamped(counts: list[int]) -> list[int]:
+        return counts if ceiling is None else [min(ceiling, c) for c in counts]
 
-    def mul(a, b):
-        return [[min(x, ceiling) for x in row] for row in matmul(a, b)]
-
-    m = [[min(x, ceiling) for x in row] for row in g.adjacency_matrix()]
-    return min(sum(map(sum, _power(m, n, mul))), ceiling)
+    squares = n * (len(vertices) + len(g._rows)) > len(vertices) ** 3 * n.bit_length()
+    counts = [1] * len(vertices)
+    for r in range(n):
+        if squares and r > len(vertices):
+            counts = list(map(sum, _power(g.adjacency_matrix(), n,
+                                          lambda a, b: list(map(clamped, matmul(a, b))))))
+            break
+        last, counts = counts, clamped([sum([counts[j] for j in s]) for s in succ])
+        if counts == last:
+            break
+    return sum(counts) if ceiling is None else min(sum(counts), ceiling)
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_PATH_CAP) -> list[Path]:

@@ -134,6 +134,14 @@ SINKFREE_L_FIXTURES: dict[str, Graph] = {
 }
 
 
+def one_edge_each(n: int, seed: int) -> Graph:
+    """n vertices, each emitting one edge to a seeded random vertex, so every
+    vertex starts exactly one path of each length."""
+    rng = random.Random(seed)
+    vertices = tuple(f"v{i}" for i in range(n))
+    return Graph(vertices, tuple((f"e{i}", v, rng.choice(vertices)) for i, v in enumerate(vertices)))
+
+
 def fixture_path(name: str) -> FsPath:
     return FIXTURES_DIR / FIXTURE_GRAPHS[name][1]
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcstar import Graph, parse_dsl, paths, serialize_json
-from graphcstar.cli import main
+from graphcstar import Graph, parse_dsl, paths, serialize_dsl, serialize_json
+from graphcstar.cli import build_parser, main
 
-from conftest import FIXTURES_DIR, cycle_graph, fixture_path, time_limit
+from conftest import FIXTURES_DIR, cycle_graph, fixture_path, one_edge_each, time_limit
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
@@ -118,6 +118,17 @@ def test_power_on_sparse_graphs_takes_no_step_per_length(tmp_path, capsys):
         with time_limit(2):
             code, out, _ = run(capsys, "power", str(path), "-n", str(n), "--format", "json")
         assert code == 0 and len(json.loads(out)["edges"]) == sum(map(sum, m))
+
+
+def test_power_on_settling_counts_exits_3_at_once(tmp_path, capsys):
+    # Each of the 200 vertices starts one path of every length, so the count
+    # settles at the first step; it once squared the 200 x 200 matrix (8 s).
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_dsl(one_edge_each(200, seed=5)))
+    with time_limit(2):
+        code, out, err = run(capsys, "power", str(path), "-n", "1000000", "--cap-paths", "10")
+    assert code == 3 and out == ""
+    assert "power graph too large: more than 10 edges exceeds cap 10" in err
 
 
 def test_power_cap_on_huge_count_exits_3(capsys):
@@ -430,6 +441,18 @@ def test_dot_outputs(capsys):
     assert code == 0
     assert 'label="c", color=red' in out
     assert "// simplicity: not_simple" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dot_takes_no_format(capsys, fmt):
+    # dot writes DOT only, so --format is refused rather than ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["dot", G_EXIT, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format" in captured.err
+    assert not hasattr(build_parser().parse_args(["dot", G_EXIT]), "format")
 
 
 # -- Fuzzing the command line with arbitrary input files ------------------------

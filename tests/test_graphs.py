@@ -15,6 +15,7 @@ from graphcstar import (
     connectivity,
     count_paths,
     cycle_exits,
+    paths,
     paths_of_length,
     power_graph,
     simple_cycles,
@@ -28,6 +29,7 @@ from conftest import (
     exit_graph,
     graphs_strategy,
     iso_graphs,
+    one_edge_each,
     random_graph,
     rose2,
     shuffled,
@@ -182,18 +184,43 @@ def test_matrix_power_matches_repeated_products():
         matrix_power([[1]], 0)
 
 
-def test_saturating_count_is_clamped_exact_count():
+def _counting_squarings(monkeypatch) -> list[int]:
+    """Patch the counter's matrix power to record each exponent it squares."""
+    squared: list[int] = []
+    original = paths._power
+
+    def power(m, n, mul):
+        squared.append(n)
+        return original(m, n, mul)
+
+    monkeypatch.setattr(paths, "_power", power)
+    return squared
+
+
+def _hand_off(g: Graph, limit: int = 400) -> int:
+    """The first n at which the path counter may square: past its cost test
+    n (V+E) > V^3 (floor(log2 n) + 1), and long enough for V+1 steps first."""
+    v, e = len(g.vertices), len(g.edges)
+    return next((n for n in range(v + 2, limit) if n * (v + e) > v ** 3 * n.bit_length()),
+                limit)
+
+
+def test_saturating_count_is_clamped_exact_count(monkeypatch):
+    squared = _counting_squarings(monkeypatch)
     rng = random.Random(19)
     routes = {"recurrence": 0, "squaring": 0}
     for _ in range(1200):
         g = random_graph(rng, max_vertices=5, max_edges=rng.choice((4, 10, 20)))
-        n = rng.randint(1, 40)
+        switch = _hand_off(g)
         ceiling = rng.choice((1, 2, 5, 30, 1000, 10**12))
-        # The rule _count_paths_saturating uses to pick its route.
-        cheap = n * (len(g.vertices) + len(g.edges)) <= len(g.vertices) ** 3 * n.bit_length()
-        routes["recurrence" if cheap else "squaring"] += 1
-        exact = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
-        assert _count_paths_saturating(g, n, ceiling) == min(exact, ceiling), (g, n)
+        # One n at random, and n just below, at and above the first n that
+        # may hand off.
+        for n in {rng.randint(1, 40), switch - 1, switch, switch + 1}:
+            before = len(squared)
+            got = _count_paths_saturating(g, n, ceiling)
+            routes["squaring" if len(squared) > before else "recurrence"] += 1
+            exact = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
+            assert got == min(exact, ceiling), (g, n)
     assert min(routes.values()) >= 300, routes
 
 
@@ -210,23 +237,44 @@ def test_count_paths_takes_the_cheaper_route():
         assert count_paths(g, n) == sum(map(sum, matrix_power(g.adjacency_matrix(), n))), (g, n)
 
 
-def test_exact_counts_on_both_sides_of_the_route_switch():
-    # count_paths takes the recurrence while n (V+E) <= V^3 (floor(log2 n) + 1)
-    # and squares the matrix beyond that; for each seeded graph n is taken
-    # just below, at and above the first n past the switch, and each count
-    # must be the exact int that matrix powers give.
+def test_exact_counts_on_both_sides_of_the_route_switch(monkeypatch):
+    # count_paths steps the recurrence until the counts settle, and squares
+    # the matrix only after V+1 steps that left them changing, when n steps
+    # cost more; for each seeded graph n is taken just below, at and above the
+    # first n that may hand off, and each count must be the exact int that
+    # matrix powers give.  A case counts as squaring only when the loop squares.
+    squared = _counting_squarings(monkeypatch)
     rng = random.Random(29)
     routes = {"recurrence": 0, "squaring": 0}
     for _ in range(200):
         g = random_graph(rng, max_vertices=4, max_edges=rng.choice((2, 6, 20, 40)))
-        v, e = len(g.vertices), len(g.edges)
-        switch = next((n for n in range(1, 400) if n * (v + e) > v ** 3 * n.bit_length()), 400)
+        switch = _hand_off(g)
         m = g.adjacency_matrix()
         for n in {1, max(1, switch - 1), switch, switch + 1, rng.randint(1, switch + 1)}:
-            routes["recurrence" if n * (v + e) <= v ** 3 * n.bit_length() else "squaring"] += 1
+            before = len(squared)
             got = count_paths(g, n)
+            squares = len(squared) > before
+            routes["squaring" if squares else "recurrence"] += 1
+            assert not squares or n >= switch, (g, n)
             assert type(got) is int and got == sum(map(sum, matrix_power(m, n))), (g, n)
     assert min(routes.values()) >= 200, routes
+
+
+@pytest.mark.parametrize("ceiling", [None, 2, 3, 10])
+def test_oscillating_counts_square_past_the_hand_off(monkeypatch, ceiling):
+    # A 2-cycle with an exit into a sink: each endpoint's count alternates
+    # 2, 1, 2, ... and never settles, so the loop squares once n steps cost
+    # more than squaring: 6n > 27 (floor(log2 n) + 1) from n = 23.
+    g = Graph(("a", "b", "s"), (("ab", "a", "b"), ("ba", "b", "a"), ("as", "a", "s")))
+    squared = _counting_squarings(monkeypatch)
+    for n in (21, 22, 23, 24, 10**6):
+        before = len(squared)
+        expected = 3 if ceiling is None else min(3, ceiling)
+        assert _count_paths_saturating(g, n, ceiling) == expected, n
+        assert (len(squared) > before) == (n >= 23), n
+    assert squared[-1] == 10**6
+    m = matrix_power(g.adjacency_matrix(), 23)
+    assert count_paths(g, 22) == count_paths(g, 23) == sum(map(sum, m)) == 3
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
@@ -237,13 +285,36 @@ def test_exact_counts_on_both_sides_of_the_route_switch():
 ])
 def test_path_counts_on_sparse_graphs_take_no_step_per_length(g, n):
     # A recurrence step costs V+E, not E; charged E alone, these graphs ran
-    # all n steps.  Now the first squares, and the others stop at the first
-    # step that changes no count.
+    # all n steps.  Now each stops at the first step that changes no count.
     expected = sum(map(sum, matrix_power(g.adjacency_matrix(), n)))
     with time_limit(2):
         assert count_paths(g, n) == expected
         p = power_graph(g, n)
     assert p.vertices == g.vertices and len(p.edges) == expected
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("g, count", [
+    (one_edge_each(200, seed=5), 200),
+    (Graph(tuple(f"v{i}" for i in range(100)), (("e", "v0", "v1"),)), 0),
+    (chain_graph(60, loop=True), 60),
+], ids=["one edge each", "one edge", "chain into a loop"])
+def test_counts_that_settle_are_not_squared(monkeypatch, g, count):
+    # Every count here settles within V+1 steps.  A cost test taken before
+    # the first step once squared the V x V matrix instead: about 7 s on the
+    # first graph.  The cap stays at 10: at the default cap the first and
+    # third power graphs would be built, 200 and 60 edges whose ids join 10^6
+    # edge ids each, about 1 GB and 0.4 GB.
+    assert count_paths(g, 3) == sum(map(sum, matrix_power(g.adjacency_matrix(), 3)))
+    squared = _counting_squarings(monkeypatch)
+    with time_limit(2):
+        assert count_paths(g, 10**6) == count
+        assert squared == []
+        if count > 10:
+            with pytest.raises(CapExceeded, match="exceeds cap 10"):
+                power_graph(g, 10**6, cap=10)
+        else:
+            assert power_graph(g, 10**6, cap=10).edges == ()
 
 
 def test_count_paths_matches_matrix_power_on_every_small_graph():
