@@ -23,6 +23,9 @@ rows, the vertices that emit an edge and those that receive one; only the
 routines that walk edges build per-vertex edge lists.  One Tarjan pass
 records the strongly connected components, the links between them and the
 kind of each (``Graph._condensation``), and every verdict reads that record.
+One pass over it gives ``Graph._depth``, the longest path from each vertex
+that reaches no cycle; :mod:`graphcstar.paths` reads both to skip dead ends
+and acyclic regions.
 
 Caps bound only enumerations, never a verdict; their defaults and the one
 refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
@@ -172,7 +175,10 @@ class Graph:
     kept as one tuple with no per-item step.  The first read's check decides
     by set passes and walks the items only to report faults (see
     :meth:`validate`).  :attr:`edges`, :meth:`out_edges` and
-    :attr:`edge_map` hold ``Edge`` objects, built on their first read.
+    :attr:`edge_map` hold ``Edge`` objects, built on their first read.  The
+    other facts are memoised on first read as well: the per-vertex edge
+    lists and indexes, the emitting and receiving vertex sets, the
+    condensation ``_condensation`` and the dead-end depths ``_depth``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -354,6 +360,23 @@ class Graph:
                         kinds.append("acyclic" if k not in entered else
                                      "exitless" if len(ends) == len(members) else "cyclic")
         return _Condensation(tuple(components), tuple(successors), tuple(kinds))
+
+    @_memoised
+    def _depth(self) -> dict[str, int]:
+        """For each vertex that reaches no cycle, the length of the longest
+        path from it (0 at a sink); a vertex that reaches a cycle starts a
+        path of every length.  ``_condensation`` lists each component after
+        those it enters, so one pass over it fills this in O(V+E).  With no
+        sink every vertex reaches a cycle: ``{}`` at once, with no Tarjan pass.
+        """
+        if len(self._emitters) == len(self.vertices):
+            return {}
+        components, successors, kinds = self._condensation
+        reach: list[Optional[int]] = []  # per component: its depth, None past a cycle
+        for entered, kind in zip(successors, kinds):
+            ends = [reach[c] for c in entered]
+            reach.append(None if kind != "acyclic" or None in ends else 1 + max(ends, default=-1))
+        return {members[0]: d for members, d in zip(components, reach) if d is not None}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""

@@ -4,7 +4,11 @@ and elementary cycles.
 Every enumeration here breaks ties by declaration order, so results are
 deterministic and reproducible across runs.  Its cost grows with the
 number of paths or cycles; ``power_graph`` and ``simple_cycles`` refuse
-past a cap.  No verdict enumerates paths (each reads
+past a cap.  The enumerations read the graph's memoised facts:
+``simple_cycles`` skips the bases that ``Graph._condensation`` marks acyclic
+and searches each component alone, and ``power_graph`` and the path counter
+find dead ends in ``Graph._depth``, the longest path from each vertex that
+reaches no cycle.  No verdict enumerates paths (each reads
 ``Graph._condensation``), so this module is loaded only where paths are
 listed: by the ``power`` and ``cycles`` subcommands, by
 ``condition_L_bruteforce``, and on the first use of one of its public names
@@ -14,6 +18,7 @@ through ``graphcstar``.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Optional
@@ -68,8 +73,11 @@ def paths_of_length(
 
 
 def count_paths(g: Graph, n: int) -> int:
-    """Number of paths of length ``n`` (exact), by a per-vertex recurrence
-    until the counts settle, or by matrix powers if n steps cost more."""
+    """Number of paths of length ``n`` (exact): 0 at once when no vertex
+    reaches a cycle and ``n`` exceeds the longest path, else by a per-vertex
+    recurrence until the counts settle, or by matrix powers if n steps cost
+    more.  With no cycle and ``n`` at most the longest path, the counts
+    settle only after n steps of O(V+E) each."""
     if n < 1:
         raise ValueError("path length must be at least 1")
     return _count_paths_saturating(g, n)
@@ -99,14 +107,17 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges, and with ValueError when ``cap`` is negative.
 
-    Cost: the cap check takes O(min(n (V+E), (V+1)(V+E) + V^3 log n)); then
-    O(min(n, V) E) to find the vertices that start a path of each length, and
-    O(output characters * log n) to build the ids.  Each path is split into its
-    first edge, a left half and a right half of about (n-1)/2 edges; the halves
-    are joined from memoised tables of shorter suffixes, and a table holds only
-    the subpaths that extend to some length-n path, so dead ends are never built
-    and, on branching graphs, no table holds much more than the square root of
-    the output.  The interpreter runs once per first edge and left half: one
+    Cost: the dead ends are read from ``Graph._depth``, the longest path
+    from each vertex that reaches no cycle, in O(V+E) time and O(V) memory;
+    when no vertex reaches a cycle and n exceeds every depth, the answer is
+    empty at once.  Otherwise the cap check takes O(min(n (V+E), (V+1)(V+E) +
+    V^3 log n)), and building the ids O(output characters * log n).  Each path
+    is split into its first edge, a left half and a right half of about
+    (n-1)/2 edges; the halves are joined from cached tables of shorter
+    suffixes, cleared on return, and a table holds only the subpaths that
+    extend to some length-n path, so dead ends are never built and, on
+    branching graphs, no table holds much more than the square root of the
+    output.  The interpreter runs once per first edge and left half: one
     C-level ``map`` over the right halves' ``(ids, ends)`` columns emits all the
     edges that share them.  The rows are :class:`Edge` objects, which the
     garbage collector never stops scanning; on outputs of 10^4 edges and more
@@ -117,60 +128,41 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     _refuse_negative_cap(cap, "path")
     if _count_paths_saturating(g, n, cap + 1) > cap:
         raise CapExceeded(f"power graph too large: more than {cap} edges exceeds cap {cap}")
-    # alive[r]: the vertices with an outgoing path of length r.  Each set is
-    # contained in the one before, and once two consecutive sets are equal
-    # all later ones are too, so alive[last] stands for every r >= last.
-    alive = [frozenset(g.vertices)]
-    while len(alive) < n:
-        live = alive[-1]
-        shorter = frozenset(src for _, src, dst in g._rows if dst in live)
-        if shorter == live:
-            break
-        alive.append(shorter)
-    last = len(alive) - 1
+    # A vertex in depth starts no path longer than its depth; those that
+    # start one of length r are the same for every r >= last.
+    depth = g._depth
+    last = max(depth.values(), default=-1) + 1
     out = g._out
-    memo: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = {}
 
     def tails(k: int, r: int, v: str) -> list[tuple[str, str]]:
-        """``(".e1...ek", end)`` for the length-k paths from ``v`` that end
-        in ``alive[r]``, in lexicographic order."""
-        if k == 0:
-            return [("", v)]
-        key = (k, min(r, last))
-        table = memo.setdefault(key, {})
-        found = table.get(v)
-        if found is None:
-            if k == 1:
-                live = alive[key[1]]
-                found = [("." + eid, dst) for eid, _, dst in out[v] if dst in live]
-            else:
-                a = k // 2
-                found = [(s + t, end) for s, m in tails(a, r + k - a, v)
-                         for t, end in tails(k - a, r, m)]
-            table[v] = found
-        return found
+        """``(".e1...ek", end)`` for the length-k paths from ``v`` whose end
+        starts a path of length r, in lexicographic order."""
+        return [("", v)] if k == 0 else table(k, min(r, last), v)
+
+    @cache
+    def table(k: int, r: int, v: str) -> list[tuple[str, str]]:
+        if k == 1:
+            return [("." + eid, dst) for eid, _, dst in out[v] if depth.get(dst, r) >= r]
+        a = k // 2
+        return [(s + t, end) for s, m in tails(a, r + k - a, v) for t, end in tails(k - a, r, m)]
 
     a = (n - 1) // 2
     b = n - 1 - a
-    first = alive[min(n - 1, last)]
-    columns: dict[str, tuple] = {}
 
+    @cache
     def right(m: str) -> tuple:
         # The right halves from m as (ids, ends) columns; m ends a left
         # half, so it starts some path of length b and neither is empty.
-        found = columns.get(m)
-        if found is None:
-            found = columns[m] = tuple(zip(*tails(b, 0, m)))
-        return found
+        return tuple(zip(*tails(b, 0, m)))
 
     new = tuple.__new__
     edges = tuple(chain.from_iterable(
         map(new, repeat(Edge), zip(map(head.__add__, ids), repeat(src), ends))
-        for eid, src, dst in g._rows if dst in first
+        for eid, src, dst in g._rows if depth.get(dst, n - 1) >= n - 1
         for s, m in tails(a, b, dst)
         for head in (eid + s,)
         for ids, ends in (right(m),)))
-    memo.clear()
+    table.cache_clear()
     # Endpoints are declared by construction, and joined ids can only
     # collide when some edge id contains the "." separator.
     if any("." in eid for eid, _, _ in g._rows):
@@ -187,7 +179,9 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
     products, so clamping every partial count keeps it equal to the clamped
-    exact count.  It steps c_0 = 1, c_r(v) = min(ceiling, sum of c_{r-1}(dst e)
+    exact count.  When no vertex reaches a cycle, every count is 0 past the
+    longest path, read from ``Graph._depth``, so a longer n gives 0 at once.
+    Otherwise it steps c_0 = 1, c_r(v) = min(ceiling, sum of c_{r-1}(dst e)
     over e out of v), at V+E a step, until a step changes no count.  Exact
     counts that settle do so within V+1 steps, as each path from a settled
     vertex is a simple prefix into a sink or an exitless cycle.  So when n
@@ -195,6 +189,9 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     still changing after V+1 steps come from the matrix's n-th power instead.
     """
     vertices = g.vertices
+    depth = g._depth
+    if len(depth) == len(vertices) and n > max(depth.values(), default=0):
+        return 0
     pos = g.vertex_pos
     succ = [[pos[dst] for _, _, dst in g._out[v]] for v in vertices]
 
@@ -227,26 +224,35 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     Raises :class:`CapExceeded` when more than ``cap`` cycles exist, and
     ValueError when ``cap`` is negative.
 
-    Cost: for each base, a reverse search over the later vertices finds
-    those that lead back to the base, and an adjacency list keeps only the
-    edges into them and the base, both in O(V+E).  The depth-first search
-    walks only that list, so it never tests an edge into an earlier vertex,
-    no branch is walked that cannot close a cycle, and a long cycle C_n
-    costs O(n), not O(n^2).  Cycles are kept as edge-id tuples and made
-    paths at the end by :func:`_paths`.  Memory is O(V+E) beyond the result.
+    Cost: ``Graph._condensation`` gives each vertex its strongly connected
+    component, and a base whose component is acyclic lies on no cycle and is
+    skipped.  For each other base, a reverse search over the later vertices
+    of its component finds those that lead back to the base, and an
+    adjacency list keeps only the edges into them and the base, both in
+    O(V+E) of that component.  The depth-first search walks only that list,
+    so it never tests an edge into an earlier vertex, no branch is walked
+    that cannot close a cycle, and a long cycle C_n costs O(n), not O(n^2).
+    Cycles are kept as edge-id tuples and made paths at the end by
+    :func:`_paths`.  Memory is O(V+E) beyond the result.
     """
     _refuse_negative_cap(cap, "cycle")
     pos = g.vertex_pos
     out = g._out
     inc = g._in
+    components, _, kinds = g._condensation
+    comp_of = {v: k for k, members in enumerate(components) for v in members}
     found: list[tuple[str, ...]] = []
     for base_pos, base in enumerate(g.vertices):
-        # The later vertices that reach the base through later vertices.
+        k = comp_of[base]
+        if kinds[k] == "acyclic":
+            continue
+        # The later vertices of its component that reach the base through
+        # later vertices; every cycle through the base stays in the component.
         back: set[str] = {base}
         todo = [base]
         while todo:
             for _, u, _ in inc[todo.pop()]:
-                if u not in back and pos[u] > base_pos:
+                if u not in back and pos[u] > base_pos and comp_of[u] == k:
                     back.add(u)
                     todo.append(u)
         # Only the edges into those and the base, in declaration order.

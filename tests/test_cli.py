@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphcstar import Graph, parse_dsl, paths, serialize_dsl, serialize_json
 from graphcstar.cli import build_parser, main
 
-from conftest import FIXTURES_DIR, cycle_graph, fixture_path, one_edge_each, time_limit
+from conftest import FIXTURES_DIR, chain_graph, cycle_graph, fixture_path, one_edge_each, time_limit
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
@@ -136,6 +136,16 @@ def test_power_cap_on_huge_count_exits_3(capsys):
     code, out, err = run(capsys, "power", G_ROSE2, "-n", "100000", "--cap-paths", "10")
     assert code == 3 and out == ""
     assert "power graph too large: more than 10 edges exceeds cap 10" in err
+
+
+def test_power_past_every_dead_end_is_empty_at_once(tmp_path, capsys):
+    # A 10^4-vertex chain starts no path of 10^4 edges; finding that once
+    # took O(V^2) time and memory, and no cap stopped it.
+    path = tmp_path / "chain.txt"
+    path.write_text(serialize_dsl(chain_graph(10**4)))
+    with time_limit(2):
+        code, out, _ = run(capsys, "power", str(path), "-n", "10000", "--format", "json")
+    assert code == 0 and json.loads(out)["edges"] == []
 
 
 def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""The condensation record ``Graph._condensation`` against definitions, and
-the routes that read it instead of working out component facts again."""
+"""The condensation record ``Graph._condensation`` and the depths read from
+it, ``Graph._depth``, against definitions, and the routes that read them
+instead of working out component facts again."""
 
 import random
 
@@ -9,7 +10,7 @@ import graphcstar
 from graphcstar import Graph, classify, condition_S, connectivity, lattice_bruteforce
 from graphcstar.ideals import _trivial_flags, saturated_hereditary_closure
 
-from conftest import iso_graphs, time_limit
+from conftest import iso_graphs, random_graph, time_limit
 
 SMALL = [g for k in range(1, 5) for g in iso_graphs(k, 6)]
 
@@ -84,6 +85,46 @@ def test_record_matches_definitions_on_large_graphs():
     assert cycle._condensation.kinds == ("exitless",)
     assert chain._condensation.kinds == ("cyclic",) + ("acyclic",) * (10**4 - 1)
     assert {"acyclic", "cyclic"} <= set(dense._condensation.kinds)
+
+
+def _depth_by_definition(g):
+    """The longest path from each vertex from which no cycle is reachable,
+    by brute-force reachability and a depth-first search of every path."""
+    succ = {v: [dst for _, src, dst in g._rows if src == v] for v in g.vertices}
+
+    def reached(v):  # by one edge or more
+        seen, todo = set(), list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo += succ[w]
+        return seen
+
+    def longest(v):
+        return max((1 + longest(w) for w in succ[v]), default=0)
+
+    after = {v: reached(v) for v in g.vertices}
+    on_cycle = {v for v in g.vertices if v in after[v]}
+    return {v: longest(v) for v in g.vertices if v not in on_cycle and not after[v] & on_cycle}
+
+
+def test_depth_matches_its_definition():
+    rng = random.Random(43)
+    with_sinks = [g for g in (random_graph(rng, max_vertices=8, max_edges=12) for _ in range(3000))
+                  if len(g._emitters) < len(g.vertices)]
+    seen = dict.fromkeys(("every vertex", "some vertices", "no vertex"), 0)
+    for g in [*SMALL, *with_sinks]:
+        depth = g._depth
+        assert depth == _depth_by_definition(g), g
+        seen["every vertex" if len(depth) == len(g.vertices) else
+             "some vertices" if depth else "no vertex"] += 1
+    assert len(with_sinks) >= 1500 and min(seen.values()) >= 300, seen
+    # With no sink every vertex reaches a cycle, read with no Tarjan pass.
+    for g in SMALL:
+        fresh = Graph(g._vertices, g._edges)
+        if len(fresh._emitters) == len(fresh.vertices):
+            assert fresh._depth == {} and "_condensation" not in vars(fresh)
 
 
 def test_verdict_routes_leave_in_edges_unbuilt():
