@@ -107,7 +107,7 @@ class ConditionS(NamedTuple):
 def condition_S(g: Graph) -> ConditionS:
     """Decide Condition (S): holds iff the graph has no sinks and satisfies
     Condition (L).  Sinks are reported first."""
-    if len(g._emitters) < len(g.vertices):
+    if g._emitting < len(g.vertices):
         return _S_HAS_SINKS
     return _condition_S(False, condition_L(g))
 
@@ -150,7 +150,7 @@ def _cycle_lengths(succ: dict[str, str]) -> list[int]:
 
 def is_disjoint_cycles(g: Graph) -> bool:
     """Whether every vertex has in-degree and out-degree exactly one."""
-    return len(g._rows) == len(g.vertices) == len(g._emitters) == len(g._receivers)
+    return len(g._rows) == len(g.vertices) == g._emitting == g._receiving
 
 
 def periodicity(g: Graph, method: str = "structural", bound: Optional[int] = None) -> PeriodicityVerdict:

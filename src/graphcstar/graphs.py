@@ -17,15 +17,17 @@ equals its range.
 
 A :class:`Graph` keeps its edges as plain ``(id, src, dst)`` rows, which the
 garbage collector stops scanning after one pass (it never stops scanning an
-:class:`Edge`); its ``Edge`` views are built only when a caller reads them.
-Sinks, sources and unit degrees are read from two sets built in C from the
-rows, the vertices that emit an edge and those that receive one; only the
-routines that walk edges build per-vertex edge lists.  One Tarjan pass
-records the strongly connected components, the links between them and the
-kind of each (``Graph._condensation``), and every verdict reads that record.
-One pass over it gives ``Graph._depth``, the longest path from each vertex
-that reaches no cycle; :mod:`graphcstar.paths` reads both to skip dead ends
-and acyclic regions.
+:class:`Edge`); its ``Edge`` views are built only when a caller reads them,
+and then take the rows' place.  Sinks, sources and unit degrees are read
+from two counts, of the vertices that emit an edge and of those that receive
+one, each the size of a set built in C from the rows and dropped at once, so
+no per-vertex set outlives the read; only the routines that walk edges build
+per-vertex edge lists.  One Tarjan pass records the strongly connected
+components, the links between them and the kind of each
+(``Graph._condensation``), and every verdict reads that record.  One pass
+over it gives ``Graph._depth``, the longest path from each vertex that
+reaches no cycle; :mod:`graphcstar.paths` reads both to skip dead ends and
+acyclic regions.
 
 Caps bound only enumerations, never a verdict; their defaults and the one
 refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
@@ -175,10 +177,11 @@ class Graph:
     kept as one tuple with no per-item step.  The first read's check decides
     by set passes and walks the items only to report faults (see
     :meth:`validate`).  :attr:`edges`, :meth:`out_edges` and
-    :attr:`edge_map` hold ``Edge`` objects, built on their first read.  The
-    other facts are memoised on first read as well: the per-vertex edge
-    lists and indexes, the emitting and receiving vertex sets, the
-    condensation ``_condensation`` and the dead-end depths ``_depth``.
+    :attr:`edge_map` hold ``Edge`` objects, built on their first read; the
+    ``Edge`` view then takes the place of the plain rows.  The other facts
+    are memoised on first read as well: the per-vertex edge lists and
+    indexes, the counts of emitting and receiving vertices, the condensation
+    ``_condensation`` and the dead-end depths ``_depth``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -224,8 +227,13 @@ class Graph:
     @_memoised
     def edges(self) -> tuple[Edge, ...]:
         rows = self._rows  # all Edges for a power graph, kept as the view
-        return rows if all(type(e) is Edge for e in rows) else tuple(
-            e if type(e) is Edge else Edge._make(e) for e in rows)
+        if all(type(e) is Edge for e in rows):
+            return rows
+        # The view replaces the rows, which are equal to it, so the graph
+        # keeps one copy of each edge.
+        edges = tuple(e if type(e) is Edge else Edge._make(e) for e in rows)
+        vars(self).update(_edges=edges, _rows=edges)
+        return edges
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self._vertices!r}, edges={tuple(map(Edge._make, self._edges))!r})"
@@ -249,10 +257,11 @@ class Graph:
 
         Invariants: vertex ids are unique, edge ids are unique, and both
         endpoints of every edge are declared vertices.  The check is
-        :func:`_violations`, which ``parse_json`` and ``power_graph`` also
-        run on the parts they build: four set passes in C decide that a
-        valid graph has nothing to report, and only an invalid one is walked
-        item by item, to word and locate its faults in input order.
+        :func:`_violations`, which ``power_graph`` also runs on the parts it
+        builds, and ``parse_json`` on a document its one pass refuses: four
+        set passes in C decide that a valid graph has nothing to report, and
+        only an invalid one is walked item by item, to word and locate its
+        faults in input order.
         """
         rows = self._edges
         return ValidationResult(tuple(
@@ -299,12 +308,12 @@ class Graph:
         return {v: tuple(es) for v, es in inc.items()}
 
     @_memoised
-    def _emitters(self) -> frozenset[str]:
-        return frozenset(map(itemgetter(1), self._rows))
+    def _emitting(self) -> int:
+        return len(frozenset(map(itemgetter(1), self._rows)))
 
     @_memoised
-    def _receivers(self) -> frozenset[str]:
-        return frozenset(map(itemgetter(2), self._rows))
+    def _receiving(self) -> int:
+        return len(frozenset(map(itemgetter(2), self._rows)))
 
     @_memoised
     def _condensation(self) -> _Condensation:
@@ -369,7 +378,7 @@ class Graph:
         those it enters, so one pass over it fills this in O(V+E).  With no
         sink every vertex reaches a cycle: ``{}`` at once, with no Tarjan pass.
         """
-        if len(self._emitters) == len(self.vertices):
+        if self._emitting == len(self.vertices):
             return {}
         components, successors, kinds = self._condensation
         reach: list[Optional[int]] = []  # per component: its depth, None past a cycle
@@ -491,9 +500,16 @@ class Connectivity(NamedTuple):
 
 
 def vertex_classes(g: Graph) -> VertexClasses:
-    """Partition information: sinks, sources, and regular (non-sink) vertices."""
+    """Partition information: sinks, sources, and regular (non-sink) vertices.
+
+    The sets are built on each call and kept only by the caller; the graph
+    records just their sizes, as its ``_emitting`` and ``_receiving`` counts.
+    """
+    rows = g._rows
     vs = frozenset(g.vertices)
-    return VertexClasses(vs - g._emitters, vs - g._receivers, g._emitters)
+    emitters, receivers = frozenset(map(itemgetter(1), rows)), frozenset(map(itemgetter(2), rows))
+    vars(g).update(_emitting=len(emitters), _receiving=len(receivers))
+    return VertexClasses(vs - emitters, vs - receivers, emitters)
 
 
 def _walks(g: Graph, n: int, first: Iterable[tuple[str, str, str]]) -> Iterator[tuple[str, ...]]:

@@ -20,6 +20,8 @@ They build their text in whole-graph passes too: the DSL writer joins the
 vertex ids and the edge rows in C, and the DOT writer builds every line
 plain, joins the vertex lines in C, and rewrites only the lines a report
 marks.  The DSL parser strips comments only from a text that holds ``#``.
+Both parsers give each endpoint the declared vertex's own string, so a
+parsed graph holds one string per vertex id, however many edges meet it.
 
 Every failure carries located diagnostics: line and column for DSL input,
 field paths like ``edges[3].src`` for JSON.  Lexical and structural problems
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
@@ -110,10 +113,13 @@ def parse_dsl(text: str) -> Graph:
     split with ``str.split``, which agrees with ``_TOKEN`` on every code
     point; token columns are worked out only for a line that gets a
     diagnostic.  Vertex and edge ids map to their declaration lines, which
-    proves the graph valid as it is read, so it is not checked again.
+    proves the graph valid as it is read, so it is not checked again.  Each
+    endpoint is looked up in a dict from each declared vertex id to itself,
+    so every edge holds the declared vertex's own string, not a copy.
     """
     diags: list[Diagnostic] = []
     vertex_lines: dict[str, int] = {}
+    ids: dict[str, str] = {}  # each declared vertex id to itself
     edges: list[tuple[str, str, str]] = []
     edge_lines: dict[str, int] = {}
 
@@ -126,26 +132,31 @@ def parse_dsl(text: str) -> Graph:
         word = tokens[0]
         if word == "edge" and len(tokens) == 4:
             _, eid, src, dst = tokens
-            if eid not in edge_lines and src in vertex_lines and dst in vertex_lines:
-                edges.append((eid, src, dst))
-                edge_lines[eid] = lineno
-                continue
+            if eid not in edge_lines:
+                try:
+                    edges.append((eid, ids[src], ids[dst]))
+                except KeyError:  # an undeclared endpoint, located below
+                    pass
+                else:
+                    edge_lines[eid] = lineno
+                    continue
             _, ecol, scol, dcol = _columns(line)
             if eid in edge_lines:
                 diags.append(Diagnostic(
                     "semantic",
                     f"duplicate edge id {eid!r} (first declared on line {edge_lines[eid]})",
                     line=lineno, column=ecol))
-            if src not in vertex_lines:
+            if src not in ids:
                 diags.append(Diagnostic(
                     "semantic", f"undeclared vertex {src!r}", line=lineno, column=scol))
-            if dst not in vertex_lines:
+            if dst not in ids:
                 diags.append(Diagnostic(
                     "semantic", f"undeclared vertex {dst!r}", line=lineno, column=dcol))
         elif word == "vertex" and len(tokens) == 2:
             vid = tokens[1]
-            if vid not in vertex_lines:
+            if vid not in ids:
                 vertex_lines[vid] = lineno
+                ids[vid] = vid
                 continue
             diags.append(Diagnostic(
                 "semantic",
@@ -164,7 +175,7 @@ def parse_dsl(text: str) -> Graph:
                 "syntax", f"unknown directive {word!r}", line=lineno, column=_columns(line)[0]))
 
     _raise(diags)
-    return Graph._proven(tuple(vertex_lines), tuple(edges))
+    return Graph._proven(tuple(ids), tuple(edges))
 
 
 def _columns(line: str) -> list[int]:
@@ -205,9 +216,11 @@ def parse_json(document: Union[str, dict]) -> Graph:
 
     Schema problems raise :class:`ParseError` with the offending field path;
     duplicate ids and dangling endpoints raise :class:`GraphSemanticError`.
-    A well-formed edge object is taken in one step, and the per-field walk
-    that locates a schema problem runs only when there is one; the graph
-    invariants are checked once, by the walk :meth:`Graph.validate` runs.
+    A decoded dict is read, never changed.  One pass, :func:`_json_rows`,
+    takes a well-formed document of a valid graph, with each endpoint the
+    declared vertex's own string.  Only a document it refuses is walked
+    field by field, to locate its schema faults, and then by
+    :func:`~graphcstar.graphs._violations`, to locate its graph faults.
     """
     if isinstance(document, str):
         import json
@@ -230,34 +243,26 @@ def parse_json(document: Union[str, dict]) -> Graph:
     for key in ("vertices", "edges"):
         if key not in document:
             diags.append(Diagnostic("schema", f"missing field {key!r}", path="$"))
-    if diags:
-        _raise(diags)
+    _raise(diags)
 
-    vertices: list[str] = []
-    if not isinstance(document["vertices"], list):
+    vertices, edges = document["vertices"], document["edges"]
+    rows = _json_rows(vertices, edges)
+    if rows is not None:
+        return Graph._proven(tuple(vertices), rows)
+
+    if not isinstance(vertices, list):
         diags.append(Diagnostic("schema", "must be an array", path="vertices"))
     else:
-        for i, v in enumerate(document["vertices"]):
+        for i, v in enumerate(vertices):
             if not isinstance(v, str):
                 diags.append(Diagnostic("schema", "vertex id must be a string", path=f"vertices[{i}]"))
-            else:
-                vertices.append(v)
-
-    edges: list[tuple[str, str, str]] = []
-    if not isinstance(document["edges"], list):
+    if not isinstance(edges, list):
         diags.append(Diagnostic("schema", "must be an array", path="edges"))
     else:
-        for i, e in enumerate(document["edges"]):
+        for i, e in enumerate(edges):
             if not isinstance(e, dict):
                 diags.append(Diagnostic("schema", "edge must be an object", path=f"edges[{i}]"))
                 continue
-            # Three fields, with "id", "src" and "dst" all strings, is exactly
-            # a well-formed edge.
-            if len(e) == 3:
-                eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
-                if isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str):
-                    edges.append((eid, src, dst))
-                    continue
             for key in e:
                 if key not in ("id", "src", "dst"):
                     diags.append(Diagnostic(
@@ -267,15 +272,47 @@ def parse_json(document: Union[str, dict]) -> Graph:
                     diags.append(Diagnostic("schema", f"missing field {key!r}", path=f"edges[{i}]"))
                 elif not isinstance(e[key], str):
                     diags.append(Diagnostic("schema", "must be a string", path=f"edges[{i}].{key}"))
-    if diags:
-        _raise(diags)
+    _raise(diags)
+    # Well-formed, so the pass refused the graph itself.
+    raise GraphSemanticError([
+        Diagnostic("semantic", f"duplicate vertex id {x!r}", path=f"vertices[{i}]")
+        if field == "vertices" else
+        Diagnostic("semantic", f"duplicate edge id {x!r}", path=f"edges[{i}].id") if field == "id" else
+        Diagnostic("semantic", f"undeclared vertex {x!r}", path=f"edges[{i}].{field}")
+        for field, i, x in _violations(vertices, [(e["id"], e["src"], e["dst"]) for e in edges])])
 
-    _raise([Diagnostic("semantic", f"duplicate vertex id {x!r}", path=f"vertices[{i}]")
-            if field == "vertices" else
-            Diagnostic("semantic", f"duplicate edge id {x!r}", path=f"edges[{i}].id") if field == "id" else
-            Diagnostic("semantic", f"undeclared vertex {x!r}", path=f"edges[{i}].{field}")
-            for field, i, x in _violations(vertices, edges)])
-    return Graph._proven(tuple(vertices), tuple(edges))
+
+def _json_rows(vertices, edges) -> Optional[tuple[tuple[str, str, str], ...]]:
+    """The edge rows of a well-formed document of a valid graph, with each
+    endpoint the declared vertex's own string; None for any other document.
+
+    One loop reads each edge object once; C passes over the columns would
+    read every object three or more times, which on a large document costs
+    more than the loop.  The endpoints are looked up in a dict from each
+    vertex id to itself, and that lookup and two size tests, of that dict
+    and of the edge ids, prove the graph valid.
+    """
+    if not (isinstance(vertices, list) and isinstance(edges, list)
+            and all(map(isinstance, vertices, repeat(str)))):
+        return None
+    ids = dict(zip(vertices, vertices))
+    rows = []
+    append = rows.append
+    for e in edges:
+        # Three fields, with "id", "src" and "dst" all strings, is exactly a
+        # well-formed edge.
+        if not (isinstance(e, dict) and len(e) == 3):
+            return None
+        eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
+            return None
+        try:
+            append((eid, ids[src], ids[dst]))
+        except KeyError:  # an undeclared endpoint
+            return None
+    if len(ids) < len(vertices) or len(set(map(itemgetter(0), rows))) < len(rows):
+        return None
+    return tuple(rows)
 
 
 # A string ends at its closing quote or, unterminated, where it cannot go on;

@@ -100,7 +100,7 @@ def simplicity_verdict(g: Graph) -> tuple[str, tuple[str, ...]]:
     lattice.  Returns the verdict and the citation tags used; the Condition
     (S) route is cited as well whenever it independently applies."""
     cl = condition_L(g)
-    cs = _condition_S(len(g._emitters) < len(g.vertices), cl)
+    cs = _condition_S(g._emitting < len(g.vertices), cl)
     return _simplicity(cl, cs, _trivial_flags(g)[1])
 
 
@@ -153,8 +153,8 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     of cycles).
 
     Each fact is derived once and shared by the simplicity verdict and the
-    dichotomy check, in O(V+E) at any size: sinks and sources from the sizes
-    of the graph's emitter and receiver sets, and the citations and
+    dichotomy check, in O(V+E) at any size: sinks and sources from the
+    graph's counts of emitting and receiving vertices, and the citations and
     hypotheses from tables built at import; ``cap`` bounds only the
     lattices the report lists when they are read, and a negative ``cap`` is
     refused here.  A graph with no vertices raises ValueError("empty
@@ -163,8 +163,8 @@ def classify(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> AnalysisReport:
     """
     _refuse_negative_cap(cap, "vertex")
     n = len(g.vertices)
-    has_sinks = len(g._emitters) < n
-    has_sources = len(g._receivers) < n
+    has_sinks = g._emitting < n
+    has_sources = g._receiving < n
     cl = condition_L(g)
     cs = _condition_S(has_sinks, cl)
     per = periodicity(g)

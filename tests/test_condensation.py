@@ -112,7 +112,7 @@ def _depth_by_definition(g):
 def test_depth_matches_its_definition():
     rng = random.Random(43)
     with_sinks = [g for g in (random_graph(rng, max_vertices=8, max_edges=12) for _ in range(3000))
-                  if len(g._emitters) < len(g.vertices)]
+                  if g._emitting < len(g.vertices)]
     seen = dict.fromkeys(("every vertex", "some vertices", "no vertex"), 0)
     for g in [*SMALL, *with_sinks]:
         depth = g._depth
@@ -123,7 +123,7 @@ def test_depth_matches_its_definition():
     # With no sink every vertex reaches a cycle, read with no Tarjan pass.
     for g in SMALL:
         fresh = Graph(g._vertices, g._edges)
-        if len(fresh._emitters) == len(fresh.vertices):
+        if fresh._emitting == len(fresh.vertices):
             assert fresh._depth == {} and "_condensation" not in vars(fresh)
 
 

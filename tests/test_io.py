@@ -1,6 +1,9 @@
+import copy
+import gc
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,8 @@ from graphcstar import graphs
 from graphcstar.graphs import Edge, ValidationIssue
 from graphcstar.io_formats import _COMMENT, _DSL_ID, _TOKEN, Diagnostic
 
-from conftest import FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, two_loops
+from conftest import (FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, time_limit,
+                      two_loops)
 
 
 def test_parse_dsl_basic():
@@ -39,11 +43,18 @@ edge c w w  # trailing comment
     assert g == source_loop()
 
 
+def _endpoints_are_vertex_ids(g):
+    """Whether every edge endpoint is the very string object in ``g.vertices``."""
+    own = {v: v for v in g.vertices}
+    return all(own[src] is src and own[dst] is dst for _, src, dst in g._rows)
+
+
 def test_fixture_files_parse_to_intended_graphs():
     for name, (expected, filename) in FIXTURE_GRAPHS.items():
         text = fixture_path(name).read_text()
         got = parse_json(text) if filename.endswith(".json") else parse_dsl(text)
         assert got == expected, name
+        assert _endpoints_are_vertex_ids(got), name
 
 
 def test_dsl_syntax_errors_are_located():
@@ -548,17 +559,54 @@ def test_parse_dsl_matches_reference_route():
         text = _random_dsl(rng)
         got = _outcome(parse_dsl, text)
         assert got == _outcome(_reference_parse_dsl, text), repr(text)
+        assert got[0] != "ok" or _endpoints_are_vertex_ids(got[1]), repr(text)
         failures += got[0] != "ok"
     assert 400 < failures < 1600  # both outcomes are well represented
 
 
+class _Id(str):
+    pass
+
+
+# Edge objects of each shape that parse_json's one pass refuses, for its
+# per-field walk or its semantic walk, and of str subclasses, which it takes;
+# each is placed after a well-formed edge.
+_EDGE_SHAPES = (
+    {"id": "b", "src": 5, "dst": "w"},
+    {"id": "b", "src": "u", "dst": ["u"]},
+    {"id": _Id("b"), "src": _Id("u"), "dst": "w"},
+    {"id": "b", "src": "u"},
+    {"id": "b", "source": "u", "dst": "w"},
+    {"id": "a", "src": "u", "dst": "w"},
+    {"id": "b", "src": "u", "dst": "zz"},
+)
+
+
+def _edge_shape_documents():
+    for shape in _EDGE_SHAPES:
+        for vertices in (["u", "w"], ["u", _Id("w")], ["u", "w", "u"]):
+            doc = {"vertices": vertices, "edges": [{"id": "a", "src": "u", "dst": "u"}, shape]}
+            yield doc
+            if not any(type(x) is _Id for x in (*vertices, *shape.values())):
+                yield json.dumps(doc)
+
+
 def test_parse_json_matches_reference_route():
+    for doc in _edge_shape_documents():
+        before = copy.deepcopy(doc)
+        got = _outcome(parse_json, doc)
+        assert got == _outcome(_reference_parse_json, doc), repr(doc)
+        assert got[0] != "ok" or _endpoints_are_vertex_ids(got[1]), repr(doc)
+        assert doc == before
     rng = random.Random(2025)
     failures = 0
     for _ in range(2000):
         doc = _random_json(rng)
+        before = copy.deepcopy(doc)
         got = _outcome(parse_json, doc)
+        assert doc == before, repr(doc)  # a decoded document is read, not changed
         assert got == _outcome(_reference_parse_json, doc), repr(doc)
+        assert got[0] != "ok" or _endpoints_are_vertex_ids(got[1]), repr(doc)
         failures += got[0] != "ok"
     assert 400 < failures < 1600
 
@@ -1007,3 +1055,43 @@ def test_comment_pattern_ends_where_splitlines_does():
     with pytest.raises(GraphSemanticError) as err:
         parse_dsl("vertex u\r#c\nvertex u\n")
     assert [(d.line, d.column) for d in err.value.diagnostics] == [(3, 8)]
+
+
+# -- Memory per edge -----------------------------------------------------------------
+
+
+def _random_documents(n):
+    """The DSL and the JSON text of a seeded random graph with ``n`` vertices
+    and ``3n`` edges, keyed by their parsers."""
+    rng = random.Random(n)
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(3 * n)])
+    return {parse_dsl: serialize_dsl(g), parse_json: json.dumps(serialize_json(g))}
+
+
+def test_parsed_and_classified_graph_memory_per_edge():
+    # A parsed graph holds one string per vertex id, which every endpoint
+    # shares, and classify leaves counts, not vertex sets, for the sink and
+    # source facts.  So the memory traced after parsing and classifying stays
+    # under one budget per edge at every size.  Python 3.11 reads 189-191 B
+    # per edge here, as at 10^4 to 4*10^4 vertices, and read 316-336 B while
+    # each endpoint had its own string and the graph kept its emitting and
+    # receiving vertex sets.  Tracing makes parsing about 5x slower, so the
+    # sizes stay small.
+    per_edge = {parse_dsl: [], parse_json: []}
+    with time_limit(15):
+        for n in (2500, 5000, 10**4):
+            for parse, text in _random_documents(n).items():
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    report = classify(parse(text))
+                    gc.collect()
+                    held = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert report.graph.vertices
+                per_edge[parse].append(held / (3 * n))
+    for parse, figures in per_edge.items():
+        # Under the budget, and no more per edge on the larger graphs.
+        assert max(figures) < 260 and max(figures) < 1.1 * min(figures), (parse.__name__, figures)

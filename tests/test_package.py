@@ -329,12 +329,18 @@ def test_value_types(value, same, other, fields, field, text):
 def test_graph_pickles_by_value():
     # A copy carries neither the memoised indexes nor the cached verdict: a
     # parsed graph, recorded valid when built, is checked again when read.
+    # Reading the Edge view, which then takes the place of the plain rows,
+    # changes none of the value behaviour either.
     vs = tuple(f"v{i}" for i in range(200))
     g = graphcstar.parse_dsl("".join(f"vertex {v}\n" for v in vs) + "".join(
         f"edge e{i} {vs[i % 200]} {vs[i * 7 % 200]}\n" for i in range(600)))
-    size = len(pickle.dumps(g))
+    plain = copy.copy(g)
+    value = (pickle.dumps(g), hash(g), repr(g))
     classify(g)
-    assert len(pickle.dumps(g)) == size
+    assert (pickle.dumps(g), hash(g), repr(g)) == value
+    assert type(g._rows[0]) is tuple and g.edges is g._rows is vars(g)["_edges"]
+    assert (pickle.dumps(g), hash(g), repr(g)) == value
+    assert g == plain and plain == g and type(plain._rows[0]) is tuple
     for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert clone == g and "_validation" not in vars(clone)
         assert clone.vertices == vs and vars(clone)["_validation"].ok
@@ -457,15 +463,20 @@ def test_no_operation_builds_the_edge_view():
 
 
 def test_degree_facts_build_no_edge_lists():
-    # The degree facts come from the sets of vertices that emit and that
-    # receive an edge; none of them lists each vertex's edges.
+    # The degree facts come from the counts of vertices that emit and that
+    # receive an edge; none of them lists each vertex's edges, and the graph
+    # keeps no per-vertex set for them.
     g = Graph(("u", "w"), (("a", "u", "u"), ("b", "u", "w")))  # w is a sink
+    fresh = Graph(g._vertices, g._edges)
     assert graphcstar.vertex_classes(g) == ({"w"}, set(), {"u"})
     assert graphcstar.periodicity(g) == (False, None, "structural", None)
     assert not graphcstar.is_disjoint_cycles(g)
     assert graphcstar.condition_S(g) == (False, "has_sinks")
     assert "_out" not in vars(g) and "_in" not in vars(g)
-    assert vars(g)["_emitters"] == {"u"} and vars(g)["_receivers"] == {"u", "w"}
+    assert vars(g)["_emitting"] == 1 and vars(g)["_receiving"] == 2
+    classify(fresh)
+    assert vars(fresh)["_emitting"] == 1 and vars(fresh)["_receiving"] == 2
+    assert not any(isinstance(memo, (set, frozenset)) for memo in vars(fresh).values())
 
 
 def test_threads_reading_a_fresh_graph_agree():
@@ -566,7 +577,7 @@ REFUSING_CALLS = {
 def test_an_invalid_graph_memoises_no_field():
     g = Graph(*INVALID_GRAPHS["dangling endpoint"])
     for _ in range(3):
-        for field in ("vertices", "_rows", "_emitters", "_condensation"):
+        for field in ("vertices", "_rows", "_emitting", "_receiving", "_condensation"):
             with pytest.raises(InvalidGraphError):
                 getattr(g, field)
     # Only the verdict of the check is kept.
