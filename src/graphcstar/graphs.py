@@ -177,11 +177,13 @@ class Graph:
     kept as one tuple with no per-item step.  The first read's check decides
     by set passes and walks the items only to report faults (see
     :meth:`validate`).  :attr:`edges`, :meth:`out_edges` and
-    :attr:`edge_map` hold ``Edge`` objects, built on their first read; the
-    ``Edge`` view then takes the place of the plain rows.  The other facts
-    are memoised on first read as well: the per-vertex edge lists and
-    indexes, the counts of emitting and receiving vertices, the condensation
-    ``_condensation`` and the dead-end depths ``_depth``.
+    :attr:`edge_map` hold ``Edge`` objects, built on the first read of any
+    of them; the ``Edge`` view then takes the place of the plain rows, also
+    in the per-vertex edge lists and the index by id, which the other two
+    read.  The other facts are memoised on first read as well: the
+    per-vertex edge lists and indexes, the counts of emitting and receiving
+    vertices, the condensation ``_condensation`` and the dead-end depths
+    ``_depth``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -229,10 +231,13 @@ class Graph:
         rows = self._rows  # all Edges for a power graph, kept as the view
         if all(type(e) is Edge for e in rows):
             return rows
-        # The view replaces the rows, which are equal to it, so the graph
-        # keeps one copy of each edge.
+        # The view replaces the rows, which are equal to it, and the indexes
+        # built on the rows are dropped, to be rebuilt on the view; so the
+        # graph keeps one copy of each edge.
         edges = tuple(e if type(e) is Edge else Edge._make(e) for e in rows)
         vars(self).update(_edges=edges, _rows=edges)
+        for name in ("_out", "_in", "_row_of"):
+            vars(self).pop(name, None)
         return edges
 
     def __repr__(self) -> str:
@@ -258,10 +263,10 @@ class Graph:
         Invariants: vertex ids are unique, edge ids are unique, and both
         endpoints of every edge are declared vertices.  The check is
         :func:`_violations`, which ``power_graph`` also runs on the parts it
-        builds, and ``parse_json`` on a document its one pass refuses: four
-        set passes in C decide that a valid graph has nothing to report, and
-        only an invalid one is walked item by item, to word and locate its
-        faults in input order.
+        builds, and ``parse_json`` on a well-formed document whose id lookup
+        or size tests fail: four set passes in C decide that a valid graph
+        has nothing to report, and only an invalid one is walked item by
+        item, to word and locate its faults in input order.
         """
         rows = self._edges
         return ValidationResult(tuple(
@@ -285,9 +290,10 @@ class Graph:
     def vertex_pos(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @_memoised
+    @property
     def edge_map(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
+        self.edges  # so that _row_of holds the view
+        return self._row_of
 
     @_memoised
     def _row_of(self) -> dict[str, tuple[str, str, str]]:
@@ -391,7 +397,8 @@ class Graph:
         """Edges emitted at ``v``, in declaration order."""
         if v not in self.vertex_pos:
             raise ValueError(f"unknown vertex {v!r}")
-        return tuple(self.edge_map[e[0]] for e in self._out[v])
+        self.edges  # so that _out holds the view
+        return self._out[v]
 
     def adjacency_matrix(self) -> list[list[int]]:
         """Integer matrix ``M[i][j]`` = number of edges from vertex i to vertex j.

@@ -22,6 +22,8 @@ plain, joins the vertex lines in C, and rewrites only the lines a report
 marks.  The DSL parser strips comments only from a text that holds ``#``.
 Both parsers give each endpoint the declared vertex's own string, so a
 parsed graph holds one string per vertex id, however many edges meet it.
+Each walks its input once: the pass that builds the rows also words and
+locates the faults of any line or edge it refuses.
 
 Every failure carries located diagnostics: line and column for DSL input,
 field paths like ``edges[3].src`` for JSON.  Lexical and structural problems
@@ -35,7 +37,7 @@ import re
 import sys
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .graphs import Graph, _violations
 
@@ -45,9 +47,9 @@ if TYPE_CHECKING:
 # Each pattern below is a string that re compiles on first use and keeps, so
 # loading this module, as every CLI call does, compiles none of them.  Only
 # _COMMENT is used on a valid input; the others locate faults: _TOKEN
-# diagnostic columns, _DSL_ID an id the DSL cannot write, and _NESTING and
-# _NUMBER the JSON input that json.loads refuses without a position.  The
-# four fault patterns took about 0.27 ms to compile (Python 3.11, 2 vCPUs).
+# diagnostic columns, and _NESTING and _NUMBER the JSON input that
+# json.loads refuses without a position.  The three fault patterns take
+# about 0.24 ms to compile (Python 3.11, 2 vCPUs).
 _TOKEN = r"\S+"
 # A comment runs from '#' to the end of its line, where a line ends at any
 # of the ten code points on which str.splitlines splits.  parse_dsl puts a
@@ -183,9 +185,6 @@ def _columns(line: str) -> list[int]:
     return [m.start() + 1 for m in re.finditer(_TOKEN, line)]
 
 
-_DSL_ID = r"[^\s#]+\Z"
-
-
 def serialize_dsl(g: Graph) -> str:
     """Render a graph in the DSL; inverse of :func:`parse_dsl`.
 
@@ -196,12 +195,12 @@ def serialize_dsl(g: Graph) -> str:
     rows = g._rows
     names = [*vertices, *map(itemgetter(0), rows)]
     # Each id is one nonempty token without '#' exactly when the joined ids
-    # split back into the ids and hold no '#'; str.split and \s agree on
-    # every code point, so only an offender's graph is walked with _DSL_ID.
+    # split back into the ids and hold no '#'; only an offender's graph is
+    # walked, with the same test on each id.
     joined = " ".join(names)
     if "#" in joined or joined.split() != names:
         for name in names:
-            if not re.match(_DSL_ID, name):
+            if "#" in name or name.split() != [name]:
                 raise ValueError(f"id {name!r} cannot be written in the DSL")
     blocks = []
     if vertices:
@@ -216,11 +215,16 @@ def parse_json(document: Union[str, dict]) -> Graph:
 
     Schema problems raise :class:`ParseError` with the offending field path;
     duplicate ids and dangling endpoints raise :class:`GraphSemanticError`.
-    A decoded dict is read, never changed.  One pass, :func:`_json_rows`,
-    takes a well-formed document of a valid graph, with each endpoint the
-    declared vertex's own string.  Only a document it refuses is walked
-    field by field, to locate its schema faults, and then by
-    :func:`~graphcstar.graphs._violations`, to locate its graph faults.
+    A decoded dict is read, never changed.  One loop reads each edge object
+    once; C passes over the columns would read every object three or more
+    times, which on a large document costs more than the loop.  A
+    well-formed edge becomes a row, with each endpoint the declared
+    vertex's own string, looked up in a dict from each vertex id to itself;
+    any other edge gets its schema diagnostics there, from
+    :func:`_edge_faults`.  The lookup and two size tests, of that dict and
+    of the edge ids, prove a well-formed document's graph valid; only when
+    one fails are its graph faults located, by
+    :func:`~graphcstar.graphs._violations`.
     """
     if isinstance(document, str):
         import json
@@ -246,73 +250,60 @@ def parse_json(document: Union[str, dict]) -> Graph:
     _raise(diags)
 
     vertices, edges = document["vertices"], document["edges"]
-    rows = _json_rows(vertices, edges)
-    if rows is not None:
-        return Graph._proven(tuple(vertices), rows)
-
+    ids: dict[str, str] = {}  # each declared vertex id to itself
     if not isinstance(vertices, list):
         diags.append(Diagnostic("schema", "must be an array", path="vertices"))
-    else:
-        for i, v in enumerate(vertices):
-            if not isinstance(v, str):
-                diags.append(Diagnostic("schema", "vertex id must be a string", path=f"vertices[{i}]"))
-    if not isinstance(edges, list):
+    elif all(map(isinstance, vertices, repeat(str))):
+        ids = dict(zip(vertices, vertices))
+    else:  # no id dict, as an unhashable id would raise
+        diags += [Diagnostic("schema", "vertex id must be a string", path=f"vertices[{i}]")
+                  for i, v in enumerate(vertices) if not isinstance(v, str)]
+    if not isinstance(edges, list):  # a dict would yield its keys
         diags.append(Diagnostic("schema", "must be an array", path="edges"))
-    else:
-        for i, e in enumerate(edges):
-            if not isinstance(e, dict):
-                diags.append(Diagnostic("schema", "edge must be an object", path=f"edges[{i}]"))
-                continue
-            for key in e:
-                if key not in ("id", "src", "dst"):
-                    diags.append(Diagnostic(
-                        "schema", f"unexpected field {key!r}", path=f"edges[{i}].{key}"))
-            for key in ("id", "src", "dst"):
-                if key not in e:
-                    diags.append(Diagnostic("schema", f"missing field {key!r}", path=f"edges[{i}]"))
-                elif not isinstance(e[key], str):
-                    diags.append(Diagnostic("schema", "must be a string", path=f"edges[{i}].{key}"))
-    _raise(diags)
-    # Well-formed, so the pass refused the graph itself.
-    raise GraphSemanticError([
-        Diagnostic("semantic", f"duplicate vertex id {x!r}", path=f"vertices[{i}]")
-        if field == "vertices" else
-        Diagnostic("semantic", f"duplicate edge id {x!r}", path=f"edges[{i}].id") if field == "id" else
-        Diagnostic("semantic", f"undeclared vertex {x!r}", path=f"edges[{i}].{field}")
-        for field, i, x in _violations(vertices, [(e["id"], e["src"], e["dst"]) for e in edges])])
-
-
-def _json_rows(vertices, edges) -> Optional[tuple[tuple[str, str, str], ...]]:
-    """The edge rows of a well-formed document of a valid graph, with each
-    endpoint the declared vertex's own string; None for any other document.
-
-    One loop reads each edge object once; C passes over the columns would
-    read every object three or more times, which on a large document costs
-    more than the loop.  The endpoints are looked up in a dict from each
-    vertex id to itself, and that lookup and two size tests, of that dict
-    and of the edge ids, prove the graph valid.
-    """
-    if not (isinstance(vertices, list) and isinstance(edges, list)
-            and all(map(isinstance, vertices, repeat(str)))):
-        return None
-    ids = dict(zip(vertices, vertices))
+        edges = ()
     rows = []
     append = rows.append
+    dangling = False
+    refused = 0  # edges that are not rows, so the next is edges[len(rows) + refused]
     for e in edges:
         # Three fields, with "id", "src" and "dst" all strings, is exactly a
         # well-formed edge.
-        if not (isinstance(e, dict) and len(e) == 3):
-            return None
-        eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
-        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
-            return None
-        try:
-            append((eid, ids[src], ids[dst]))
-        except KeyError:  # an undeclared endpoint
-            return None
-    if len(ids) < len(vertices) or len(set(map(itemgetter(0), rows))) < len(rows):
-        return None
-    return tuple(rows)
+        if isinstance(e, dict) and len(e) == 3:
+            eid, src, dst = e.get("id"), e.get("src"), e.get("dst")
+            if isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str):
+                try:
+                    append((eid, ids[src], ids[dst]))
+                except KeyError:  # an undeclared endpoint, located below
+                    append((eid, src, dst))
+                    dangling = True
+                continue
+        diags += _edge_faults(e, len(rows) + refused)
+        refused += 1
+    _raise(diags)
+    if dangling or len(ids) < len(vertices) or len(set(map(itemgetter(0), rows))) < len(rows):
+        raise GraphSemanticError([
+            Diagnostic("semantic", f"duplicate vertex id {x!r}", path=f"vertices[{i}]")
+            if field == "vertices" else
+            Diagnostic("semantic", f"duplicate edge id {x!r}", path=f"edges[{i}].id") if field == "id" else
+            Diagnostic("semantic", f"undeclared vertex {x!r}", path=f"edges[{i}].{field}")
+            for field, i, x in _violations(vertices, rows)])
+    return Graph._proven(tuple(vertices), tuple(rows))
+
+
+def _edge_faults(e, i: int) -> Iterator[Diagnostic]:
+    """The schema diagnostics of ``edges[i]``, an edge that is not exactly
+    the three string fields ``id``, ``src`` and ``dst``."""
+    if not isinstance(e, dict):
+        yield Diagnostic("schema", "edge must be an object", path=f"edges[{i}]")
+        return
+    for key in e:
+        if key not in ("id", "src", "dst"):
+            yield Diagnostic("schema", f"unexpected field {key!r}", path=f"edges[{i}].{key}")
+    for key in ("id", "src", "dst"):
+        if key not in e:
+            yield Diagnostic("schema", f"missing field {key!r}", path=f"edges[{i}]")
+        elif not isinstance(e[key], str):
+            yield Diagnostic("schema", "must be a string", path=f"edges[{i}].{key}")
 
 
 # A string ends at its closing quote or, unterminated, where it cannot go on;

@@ -262,9 +262,19 @@ def test_witness_threshold_does_not_round(tmp_path, capsys):
 
 
 def test_witness_bad_weights_exit_2(capsys):
-    code, _, err = run(capsys, "witness", G_EXIT, "--weights", "u=-1",
-                       "--n", "0", "--epsilon", "0.5", "--max-length", "4")
+    def witness(weights):
+        return run(capsys, "witness", G_EXIT, "--weights", weights,
+                   "--n", "0", "--epsilon", "0.5", "--max-length", "4")
+
+    code, _, err = witness("u=-1")
     assert code == 2 and "negative" in err
+    code, out, err = witness("u")
+    assert code == 2 and out == "" and "bad weight 'u', expected vertex=value" in err
+    code, out, _ = witness("u=x")
+    assert code == 2 and out == ""
+    # Empty items are skipped.
+    plain = witness("u=1")
+    assert plain[0] == 0 and "witness:" in plain[1] and witness(",u=1,,") == plain
 
 
 def test_witness_non_finite_numbers_exit_2(capsys):

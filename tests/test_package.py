@@ -124,13 +124,18 @@ def _run_python(code: str) -> str:
 
 
 def test_verdicts_in_process_load_no_path_enumeration():
+    # A submodule read as an attribute of the package is imported with what
+    # it imports itself, and nothing else.
     out = _run_python(
         "import sys, graphcstar\n"
+        "print(graphcstar.ideals is sys.modules['graphcstar.ideals'])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('graphcstar.')))\n"
         "g = graphcstar.Graph(('u', 'v'), [('a', 'u', 'v'), ('b', 'v', 'u'), ('c', 'u', 'u')])\n"
         "g.require_valid()\n"
         "graphcstar.report_to_dict(graphcstar.classify(g))\n"
         "print(*sorted(m for m in sys.modules if m.startswith('graphcstar.')))\n")
-    assert out.split() == sorted(VERDICT_STACK | {"graphcstar.graphs"})
+    assert out.split("\n") == ["True", "graphcstar.graphs graphcstar.ideals",
+                                " ".join(sorted(VERDICT_STACK | {"graphcstar.graphs"})), ""]
 
 
 def test_io_formats_compiles_no_pattern_at_import():
