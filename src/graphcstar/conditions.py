@@ -67,15 +67,14 @@ def condition_L(g: Graph) -> ConditionL:
     component: every member emits one edge, and for a one-vertex component
     that edge is a loop.  So Condition (L) fails exactly when the
     condensation holds such an ``"exitless"`` component.  On failure the
-    witness is the exitless cycle through the earliest such vertex in
-    declaration order, walked from that vertex; with none, one shared
+    witness is the exitless cycle through the first declared vertex that
+    ``component_of`` puts in one, walked from it; with none, one shared
     ``ConditionL(True, None)`` is returned before any vertex is read.
     """
-    components, _, kinds = g._condensation
+    component_of, _, kinds = g._condensation
     if "exitless" not in kinds:
         return _L_HOLDS
-    first = min((v for c, kind in zip(components, kinds) if kind == "exitless" for v in c),
-                key=g.vertex_pos.__getitem__)
+    first = next(v for v in g.vertices if kinds[component_of[v]] == "exitless")
     out = g._out
     eid, _, v = out[first][0]
     trail = [eid]

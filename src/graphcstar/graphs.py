@@ -22,8 +22,8 @@ and then take the rows' place.  Sinks, sources and unit degrees are read
 from two counts, of the vertices that emit an edge and of those that receive
 one, each the size of a set built in C from the rows and dropped at once, so
 no per-vertex set outlives the read; only the routines that walk edges build
-per-vertex edge lists.  One Tarjan pass records the strongly connected
-components, the links between them and the kind of each
+per-vertex edge lists.  One Tarjan pass records each vertex's strongly
+connected component, the links between components and the kind of each
 (``Graph._condensation``), and every verdict reads that record.  One pass
 over it gives ``Graph._depth``, the longest path from each vertex that
 reaches no cycle; :mod:`graphcstar.paths` reads both to skip dead ends and
@@ -36,7 +36,8 @@ refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 DEFAULT_LATTICE_CAP = 16
 DEFAULT_PATH_CAP = 10**6
@@ -128,7 +129,7 @@ class Edge(NamedTuple):
 
 
 class _Condensation(NamedTuple):
-    components: tuple[tuple[str, ...], ...]
+    component_of: dict[str, int]
     successors: tuple[frozenset[int], ...]
     kinds: tuple[str, ...]
 
@@ -166,24 +167,24 @@ class Graph:
 
     Construction does not validate; call :meth:`validate` to collect every
     invariant violation, or build through :meth:`checked` to raise on the
-    first invalid input.  Reading :attr:`vertices` or the edges, which
-    every operation does, raises :class:`InvalidGraphError` on an invalid
-    graph; an operation also given a bad argument may raise that ValueError
-    first.  Instances are immutable and safe to share between threads.
-    Equality, hashing, the repr and pickling use the unchecked ``(vertices,
-    edges)``.  An :class:`Edge` or a plain ``(id, src, dst)`` tuple is stored
-    as given, any other sequence as an ``Edge``; when a pass over the item
-    types and one over their lengths find only those two, the edges are
-    kept as one tuple with no per-item step.  The first read's check decides
-    by set passes and walks the items only to report faults (see
-    :meth:`validate`).  :attr:`edges`, :meth:`out_edges` and
-    :attr:`edge_map` hold ``Edge`` objects, built on the first read of any
-    of them; the ``Edge`` view then takes the place of the plain rows, also
-    in the per-vertex edge lists and the index by id, which the other two
-    read.  The other facts are memoised on first read as well: the
-    per-vertex edge lists and indexes, the counts of emitting and receiving
-    vertices, the condensation ``_condensation`` and the dead-end depths
-    ``_depth``.
+    first invalid input.  Reading :attr:`vertices` or the edges, which every
+    operation does, raises :class:`InvalidGraphError` on an invalid graph; an
+    operation also given a bad argument may raise that ValueError first.
+    Instances are immutable and safe to share between threads, as are the
+    read-only views :attr:`vertex_pos` and :attr:`edge_map`.  Equality,
+    hashing, the repr and pickling use the unchecked ``(vertices, edges)``.
+    An :class:`Edge` or a plain ``(id, src, dst)`` tuple is stored as given,
+    any other sequence as an ``Edge``; when a pass over the item types and one
+    over their lengths find only those two, the edges are kept as one tuple
+    with no per-item step.  The first read's check decides by set passes and
+    walks the items only to report faults (see :meth:`validate`).
+    :attr:`edges`, :meth:`out_edges` and :attr:`edge_map` hold ``Edge``
+    objects, built on the first read of any of them; the ``Edge`` view then
+    takes the place of the plain rows, also in the per-vertex edge lists and
+    the index by id, which the other two read.  The other facts are memoised
+    on first read as well: the per-vertex edge lists and indexes, the counts
+    of emitting and receiving vertices, the condensation ``_condensation`` and
+    the dead-end depths ``_depth``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -287,13 +288,13 @@ class Graph:
     # Index structures below read the checked fields; private ones hold rows.
 
     @_memoised
-    def vertex_pos(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    def vertex_pos(self) -> Mapping[str, int]:
+        return MappingProxyType({v: i for i, v in enumerate(self.vertices)})
 
     @property
-    def edge_map(self) -> dict[str, Edge]:
+    def edge_map(self) -> Mapping[str, Edge]:
         self.edges  # so that _row_of holds the view
-        return self._row_of
+        return MappingProxyType(self._row_of)
 
     @_memoised
     def _row_of(self) -> dict[str, tuple[str, str, str]]:
@@ -324,11 +325,12 @@ class Graph:
     @_memoised
     def _condensation(self) -> _Condensation:
         """The strongly connected components in reverse topological order, so
-        edges leaving a component enter earlier ones; for each, the indices
-        of those it enters and its kind: ``"acyclic"`` (one vertex, no loop),
-        ``"exitless"`` (each member emits one edge, inside: a cycle without an
-        exit) or ``"cyclic"``.  Every verdict reads its component facts here.
-        One iterative Tarjan pass (SIAM J. Comput. 1972) fills all three, each
+        edges leaving a component enter earlier ones: each vertex's component
+        (``component_of``) and, for each component, the indices of those it
+        enters and its kind: ``"acyclic"`` (one vertex, no loop), ``"exitless"``
+        (each member emits one edge, inside: a cycle without an exit) or
+        ``"cyclic"``.  Every verdict reads its component facts here.  One
+        iterative Tarjan pass (SIAM J. Comput. 1972) fills all three, each
         component as it is popped, in O(V+E) and with no recursion limit.
         """
         out = self._out
@@ -336,7 +338,6 @@ class Graph:
         low: dict[str, int] = {}
         comp_of: dict[str, int] = {}  # popped; the other vertices in index are on the stack
         stack: list[str] = []
-        components: list[tuple[str, ...]] = []
         successors: list[frozenset[int]] = []
         kinds: list[str] = []
         for root in self.vertices:
@@ -362,36 +363,35 @@ class Graph:
                         if low[v] < low[u]:
                             low[u] = low[v]
                     if low[v] == index[v]:
-                        k = len(components)
-                        members = tuple(stack[height:])
+                        k = len(kinds)
+                        members = stack[height:]
                         del stack[height:]
                         for w in members:
                             comp_of[w] = k
                         ends = [comp_of[w] for m in members for _, _, w in out[m]]
                         entered = frozenset(ends)
-                        components.append(members)
                         successors.append(entered - {k})
                         # Each member of a component with an edge inside has one.
                         kinds.append("acyclic" if k not in entered else
                                      "exitless" if len(ends) == len(members) else "cyclic")
-        return _Condensation(tuple(components), tuple(successors), tuple(kinds))
+        return _Condensation(comp_of, tuple(successors), tuple(kinds))
 
     @_memoised
     def _depth(self) -> dict[str, int]:
         """For each vertex that reaches no cycle, the length of the longest
-        path from it (0 at a sink); a vertex that reaches a cycle starts a
-        path of every length.  ``_condensation`` lists each component after
-        those it enters, so one pass over it fills this in O(V+E).  With no
-        sink every vertex reaches a cycle: ``{}`` at once, with no Tarjan pass.
-        """
+        path from it (0 at a sink); a vertex that reaches a cycle starts a path
+        of every length.  ``_condensation`` lists each component after those it
+        enters, so a pass over it and one over its ``component_of`` fill this
+        in O(V+E).  With no sink every vertex reaches a cycle: ``{}`` at once,
+        with no Tarjan pass."""
         if self._emitting == len(self.vertices):
             return {}
-        components, successors, kinds = self._condensation
+        component_of, successors, kinds = self._condensation
         reach: list[Optional[int]] = []  # per component: its depth, None past a cycle
         for entered, kind in zip(successors, kinds):
             ends = [reach[c] for c in entered]
             reach.append(None if kind != "acyclic" or None in ends else 1 + max(ends, default=-1))
-        return {members[0]: d for members, d in zip(components, reach) if d is not None}
+        return {v: reach[k] for v, k in component_of.items() if reach[k] is not None}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""

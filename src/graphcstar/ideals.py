@@ -12,7 +12,8 @@ of strongly connected components that holds every component reachable from
 it, so both lattices are built over the graph's condensation record, the
 saturated one directly rather than filtered: every step yields an element,
 and the cost grows with the size of the lattice, not with the 2^n subsets.
-:func:`_listings` lists either kind or both in one pass, each element as its
+:func:`_listings` lists either kind or both in one pass over the components,
+their vertices read from the record's vertex map, each element as its
 vertices in declaration order, which a report prints as they come and
 :func:`lattice` wraps in frozensets.  Listing refuses graphs beyond a
 configurable vertex cap; the verdicts only ask whether a lattice is trivial,
@@ -131,21 +132,21 @@ def lattice(g: Graph, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> SubsetLattic
 
 def _listings(g: Graph, kinds: tuple[str, ...], cap: int) -> tuple[list[list[str]], ...]:
     """Each lattice of ``kinds`` in :func:`lattice`'s order and one pass over
-    the components, an element listed as its vertices in declaration order."""
+    the components, an element listed as its vertices in declaration order;
+    each component's vertex bits come from one pass over ``component_of``."""
     for kind in kinds:
         _check_lattice_args(g, kind, cap)
-    pos = g.vertex_pos
+    component_of, successors, shapes = g._condensation
     saturating = [kind == "saturated_hereditary" for kind in kinds]
     listed = [[0] for _ in kinds]
-    owns: list[int] = []  # each component's vertex bits
-    for members, entered, shape in zip(*g._condensation):
+    owns = [0] * len(shapes)  # each component's vertex bits
+    for i, v in enumerate(g.vertices):
+        owns[component_of[v]] |= 1 << i
+    for own, entered, shape in zip(owns, successors, shapes):
         # Edges leaving a component land in earlier ones, already decided.
-        need = own = 0
+        need = 0
         for c in entered:
             need |= owns[c]
-        for v in members:
-            own |= 1 << pos[v]
-        owns.append(own)
         for saturated, found in zip(saturating, listed):
             if saturated and shape == "acyclic" and need:
                 found[:] = [m | own if m & need == need else m for m in found]

@@ -239,8 +239,7 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     pos = g.vertex_pos
     out = g._out
     inc = g._in
-    components, _, kinds = g._condensation
-    comp_of = {v: k for k, members in enumerate(components) for v in members}
+    comp_of, _, kinds = g._condensation
     found: list[tuple[str, ...]] = []
     for base_pos, base in enumerate(g.vertices):
         k = comp_of[base]

@@ -256,6 +256,17 @@ def _iso_representatives(nv: int, max_e: int):
     return slots, tuple(reps)
 
 
+def members(g: Graph) -> list[list[str]]:
+    """The members of each component of ``g._condensation``, indexed as the
+    record indexes them: its ``component_of`` grouped, each group in
+    declaration order."""
+    component_of, _, kinds = g._condensation
+    groups: list[list[str]] = [[] for _ in kinds]
+    for v in g.vertices:
+        groups[component_of[v]].append(v)
+    return groups
+
+
 def iso_graphs(nv: int, max_e: int):
     """The representatives of :func:`_iso_representatives` as graphs on the
     vertices v0 .. v{nv-1}."""

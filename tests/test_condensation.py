@@ -7,10 +7,10 @@ import random
 import pytest
 
 import graphcstar
-from graphcstar import Graph, classify, condition_S, connectivity, lattice_bruteforce
+from graphcstar import Graph, classify, condition_S, connectivity, lattice_bruteforce, parse_dsl
 from graphcstar.ideals import _trivial_flags, saturated_hereditary_closure
 
-from conftest import iso_graphs, random_graph, time_limit
+from conftest import iso_graphs, members, random_graph, time_limit
 
 SMALL = [g for k in range(1, 5) for g in iso_graphs(k, 6)]
 
@@ -33,39 +33,45 @@ def _closure_flags(g):
     """The route ``_trivial_flags`` took before the record held kinds: the
     saturated lattice is trivial iff the closure of the first terminal
     component is every vertex."""
-    components = g._condensation.components
+    components = members(g)
     if len(components) <= 1:
         return True, True
     return False, len(saturated_hereditary_closure(g, components[0])) == len(g.vertices)
 
 
-def _kind(g, members):
-    if len(members) == 1 and all(dst != members[0] for _, _, dst in g._out[members[0]]):
+def _kind(g, group):
+    if len(group) == 1 and all(dst != group[0] for _, _, dst in g._out[group[0]]):
         return "acyclic"
-    if all(len(g._out[v]) == 1 and g._out[v][0][2] in members for v in members):
+    if all(len(g._out[v]) == 1 and g._out[v][0][2] in group for v in group):
         return "exitless"
     return "cyclic"
 
 
 def _check_record(g, nx):
-    components, successors, kinds = g._condensation
-    assert len(components) == len(successors) == len(kinds)
-    rank = {v: k for k, members in enumerate(components) for v in members}
+    rank, successors, kinds = g._condensation
+    # The map covers every vertex, and its values are the indices of the
+    # per-component tuples, each component holding some vertex.
     assert sorted(rank) == sorted(g.vertices)
+    assert len(successors) == len(kinds) and set(rank.values()) == set(range(len(kinds)))
+    components = members(g)
     d = nx.MultiDiGraph()
     d.add_nodes_from(g.vertices)
     d.add_edges_from((src, dst) for _, src, dst in g._rows)
     assert {frozenset(c) for c in components} == set(map(frozenset, nx.strongly_connected_components(d)))
-    for k, members in enumerate(components):
-        entered = {rank[dst] for v in members for _, _, dst in g._out[v]} - {k}
+    for k, group in enumerate(components):
+        entered = {rank[dst] for v in group for _, _, dst in g._out[v]} - {k}
         assert successors[k] == entered and all(c < k for c in entered)  # reverse topological
-        assert kinds[k] == _kind(g, members)
+        assert kinds[k] == _kind(g, group)
     # (S) iff (L) and no sinks, read as: every component reaches a cyclic one.
     good = []
     for entered, kind in zip(successors, kinds):
         good.append(kind == "cyclic" or any(good[c] for c in entered))
     assert condition_S(g).holds == all(good)
     assert _trivial_flags(g) == _closure_flags(g)
+    # The saturated lattice is trivial iff there is at most one node: a
+    # component that is not acyclic or that enters no other.
+    nodes = [k for k, kind in enumerate(kinds) if kind != "acyclic" or not successors[k]]
+    assert _trivial_flags(g)[1] == (len(nodes) <= 1)
 
 
 def test_record_matches_definitions_on_every_small_graph():
@@ -137,6 +143,15 @@ def test_verdict_routes_leave_in_edges_unbuilt():
         else:
             classify(fresh)
         assert "_in" not in vars(fresh)
+
+
+def test_verdict_path_builds_no_vertex_positions():
+    # Condition (L), failing here, and the lattice listing read each
+    # vertex's component from the record, not its declaration index.
+    g = parse_dsl("vertex s\nvertex u\nvertex w\nedge a s u\nedge b u w\nedge c w u\n")
+    graphcstar.report_to_dict(classify(g))
+    assert not graphcstar.condition_L(g).holds
+    assert "vertex_pos" not in vars(g)
 
 
 def test_connectivity_union_find_is_not_quadratic():

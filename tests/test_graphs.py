@@ -29,6 +29,7 @@ from conftest import (
     exit_graph,
     graphs_strategy,
     iso_graphs,
+    members,
     one_edge_each,
     random_graph,
     rose2,
@@ -746,9 +747,9 @@ def test_connectivity_matches_networkx():
         d = nx.MultiDiGraph()
         d.add_nodes_from(g.vertices)
         d.add_edges_from((e.src, e.dst) for e in g.edges)
-        assert {frozenset(c) for c in g._condensation.components} == {
+        assert {frozenset(c) for c in members(g)} == {
             frozenset(c) for c in nx.strongly_connected_components(d)}
-        rank = {v: i for i, c in enumerate(g._condensation.components) for v in c}
+        rank = g._condensation.component_of
         assert all(rank[e.dst] <= rank[e.src] for e in g.edges)  # sinks first
         # strong: every vertex reaches every vertex by a path of length >= 1
         strong = all(

@@ -24,7 +24,7 @@ from graphcstar import (
 
 from graphcstar import graphs
 from graphcstar.graphs import Edge, ValidationIssue
-from graphcstar.io_formats import _COMMENT, _TOKEN, Diagnostic
+from graphcstar.io_formats import _COMMENT, _TOKEN, Diagnostic, _too_long
 
 from conftest import (FIXTURE_GRAPHS, fixture_path, graphs_strategy, source_loop, time_limit,
                       two_loops)
@@ -264,6 +264,10 @@ def test_parse_json_integer_too_long_is_located():
     (d,) = exc.value.diagnostics
     assert (d.line, d.column) == (2, 3)
     assert d.message == "invalid JSON: integer of 4301 digits exceeds the limit of 4300"
+
+    # with no over-long integer literal to point at, the document is blamed
+    assert _too_long('[1, "x"]') == Diagnostic("syntax", "invalid JSON: integer too long", path="$")
+    assert Diagnostic("schema", "m").location == "input"
 
 
 def test_graph_keeps_edges_and_wraps_tuples():

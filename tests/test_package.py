@@ -313,6 +313,7 @@ def test_value_types(value, same, other, fields, field, text):
     assert repr(value) == text
     assert value == same and not value != same
     assert value != other and not value == other
+    assert value != object() and not value == object()
     if fields is None:
         with pytest.raises(TypeError):
             hash(value)
@@ -467,6 +468,21 @@ def test_no_operation_builds_the_edge_view():
     assert pickle.dumps(g) == pickle.dumps(h)
 
 
+def test_graph_indexes_are_read_only():
+    g = graphcstar.parse_dsl("vertex u\nvertex w\nedge a u w\nedge b w u\n")
+    for index, key in ((g.vertex_pos, "u"), (g.edge_map, "a")):
+        with pytest.raises(AttributeError):
+            index.pop(key)
+        with pytest.raises(TypeError):
+            del index[key]
+        with pytest.raises(TypeError):
+            index[key] = None
+    assert g.vertex_pos == {"u": 0, "w": 1} and g.edge_map == {"a": g.edges[0], "b": g.edges[1]}
+    assert g.out_edges("u") == (Edge("a", "u", "w"),)
+    assert VertexWeights(g, {"u": 1.0}).weights == {"u": 1.0}
+    assert g.path(["a", "b"]).is_cycle()
+
+
 def test_degree_facts_build_no_edge_lists():
     # The degree facts come from the counts of vertices that emit and that
     # receive an edge; none of them lists each vertex's edges, and the graph
@@ -585,6 +601,7 @@ def test_an_invalid_graph_memoises_no_field():
         for field in ("vertices", "_rows", "_emitting", "_receiving", "_condensation"):
             with pytest.raises(InvalidGraphError):
                 getattr(g, field)
+            assert getattr(Graph, field) is vars(Graph)[field]  # read on the class
     # Only the verdict of the check is kept.
     assert set(vars(g)) == {"_vertices", "_edges", "_validation"}
 
