@@ -18,16 +18,16 @@ equals its range.
 A :class:`Graph` keeps its edges as plain ``(id, src, dst)`` rows, which the
 garbage collector stops scanning after one pass (it never stops scanning an
 :class:`Edge`); its ``Edge`` views are built only when a caller reads them,
-and then take the rows' place.  Sinks, sources and unit degrees are read
-from two counts, of the vertices that emit an edge and of those that receive
-one, each the size of a set built in C from the rows and dropped at once, so
-no per-vertex set outlives the read; only the routines that walk edges build
-per-vertex edge lists.  One Tarjan pass records each vertex's strongly
-connected component, the links between components and the kind of each
-(``Graph._condensation``), and every verdict reads that record.  One pass
-over it gives ``Graph._depth``, the longest path from each vertex that
-reaches no cycle; :mod:`graphcstar.paths` reads both to skip dead ends and
-acyclic regions.
+and then take the rows' place, each row freed as its ``Edge`` is made.
+Sinks, sources and unit degrees are read from two counts, of the vertices
+that emit an edge and of those that receive one, each the size of a set
+built in C from the rows and dropped at once, so no per-vertex set outlives
+the read; only the routines that walk edges build per-vertex edge lists.
+One Tarjan pass records each vertex's strongly connected component, the
+links between components and the kind of each (``Graph._condensation``),
+and every verdict reads that record.  One pass over it gives
+``Graph._depth``, the longest path from each vertex that reaches no cycle;
+:mod:`graphcstar.paths` reads both to skip dead ends and acyclic regions.
 
 Caps bound only enumerations, never a verdict; their defaults and the one
 refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
@@ -36,6 +36,7 @@ refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
 from __future__ import annotations
 
 from operator import itemgetter
+from threading import RLock
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -147,10 +148,27 @@ def _refuse_tuple_arithmetic(self, other):
     raise TypeError(f"unsupported operand for {type(self).__name__}: {type(other).__name__!r}")
 
 
+# Held while a graph swaps its Edge view in for its rows (see Graph.edges),
+# and while a field that holds rows is built (see _on_rows).
+_swapping = RLock()
+
+
+def _stored(g: Graph) -> tuple[tuple[str, str, str], ...]:
+    """The edges as stored: the rows, or the ``Edge`` view once swapped in.
+    Only while another thread swaps does a graph lack them; this waits."""
+    rows = vars(g).get("_edges")
+    if rows is None:
+        with _swapping:
+            rows = vars(g)["_edges"]
+    return rows
+
+
 class _memoised:
     """A field built on its first read and stored in the instance dict, where
     later reads find it.  Unlike ``functools.cached_property`` on Python 3.11
-    it takes no lock: racing threads build equal values.  A raise stores nothing."""
+    it takes no lock: racing threads build equal values (only the swap in
+    :attr:`Graph.edges`, which takes the rows away, and :class:`_on_rows`
+    hold one).  A raise stores nothing."""
 
     def __init__(self, build):
         self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
@@ -160,6 +178,16 @@ class _memoised:
             return self
         value = vars(g)[self.name] = self.build(g)
         return value
+
+
+class _on_rows(_memoised):
+    """A memoised field that holds rows: built and stored under the lock of
+    the swap in :attr:`Graph.edges`, so that none built on the plain rows is
+    stored after the ``Edge`` view has taken their place."""
+
+    def __get__(self, g, owner=None):
+        with _swapping:
+            return super().__get__(g, owner)
 
 
 class Graph:
@@ -181,10 +209,13 @@ class Graph:
     :attr:`edges`, :meth:`out_edges` and :attr:`edge_map` hold ``Edge``
     objects, built on the first read of any of them; the ``Edge`` view then
     takes the place of the plain rows, also in the per-vertex edge lists and
-    the index by id, which the other two read.  The other facts are memoised
-    on first read as well: the per-vertex edge lists and indexes, the counts
-    of emitting and receiving vertices, the condensation ``_condensation`` and
-    the dead-end depths ``_depth``.
+    the index by id, which the other two read.  The swap replaces the rows
+    in a list, one at a time, so it holds a few bytes per edge while it
+    runs, not a second copy; a thread that reads the graph meanwhile waits
+    for it.  A power graph holds plain rows too.  The other facts are
+    memoised on first read as well: the per-vertex edge lists and indexes,
+    the counts of emitting and receiving vertices, the condensation
+    ``_condensation`` and the dead-end depths ``_depth``.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -213,7 +244,7 @@ class Graph:
     def __reduce__(self):
         # By value, with plain rows: a pickle or copy carries no memoised
         # index or verdict, and is checked on its first read.
-        return Graph, (self._vertices, tuple(map(tuple, self._edges)))
+        return Graph, (self._vertices, tuple(map(tuple, _stored(self))))
 
     # Cached only once the check passes, after which a read is a plain
     # attribute lookup; an invalid graph raises on every read.
@@ -222,35 +253,46 @@ class Graph:
         self.require_valid()
         return self._vertices
 
-    @_memoised
+    @_on_rows
     def _rows(self) -> tuple[tuple[str, str, str], ...]:
         self.require_valid()
         return self._edges
 
     @_memoised
     def edges(self) -> tuple[Edge, ...]:
-        rows = self._rows  # all Edges for a power graph, kept as the view
-        if all(type(e) is Edge for e in rows):
-            return rows
         # The view replaces the rows, which are equal to it, and the indexes
-        # built on the rows are dropped, to be rebuilt on the view; so the
-        # graph keeps one copy of each edge.
-        edges = tuple(e if type(e) is Edge else Edge._make(e) for e in rows)
-        vars(self).update(_edges=edges, _rows=edges)
-        for name in ("_out", "_in", "_row_of"):
-            vars(self).pop(name, None)
+        # built on the rows are dropped, to be rebuilt on the view.  The rows
+        # move into a list where each plain one is freed as its Edge is made,
+        # so the swap holds one copy of each edge and two pointers per edge;
+        # a tuple built from a generator would hold both copies at its peak.
+        self.require_valid()
+        d = vars(self)
+        with _swapping:
+            if "edges" in d:  # swapped in by another thread meanwhile
+                return d["edges"]
+            edges = list(d.pop("_edges"))
+            for name in ("_rows", "_out", "_in", "_row_of"):
+                d.pop(name, None)
+            try:
+                for i, e in enumerate(edges):
+                    if type(e) is not Edge:
+                        edges[i] = Edge._make(e)
+            finally:
+                # Restored even when interrupted, with the rest still plain.
+                d.update(_edges=(edges := tuple(edges)), _rows=edges)
+            d["edges"] = edges
         return edges
 
     def __repr__(self) -> str:
-        return f"Graph(vertices={self._vertices!r}, edges={tuple(map(Edge._make, self._edges))!r})"
+        return f"Graph(vertices={self._vertices!r}, edges={tuple(map(Edge._make, _stored(self)))!r})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and _stored(self) == _stored(other)
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, _stored(self)))
 
     @classmethod
     def checked(cls, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]) -> "Graph":
@@ -269,7 +311,7 @@ class Graph:
         has nothing to report, and only an invalid one is walked item by
         item, to word and locate its faults in input order.
         """
-        rows = self._edges
+        rows = _stored(self)
         return ValidationResult(tuple(
             ValidationIssue("duplicate id", x, f"duplicate vertex id {x!r}") if field == "vertices"
             else ValidationIssue("duplicate id", x, f"duplicate edge id {x!r}") if field == "id"
@@ -296,18 +338,18 @@ class Graph:
         self.edges  # so that _row_of holds the view
         return MappingProxyType(self._row_of)
 
-    @_memoised
+    @_on_rows
     def _row_of(self) -> dict[str, tuple[str, str, str]]:
         return {e[0]: e for e in self._rows}
 
-    @_memoised
+    @_on_rows
     def _out(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
         out: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
         for e in self._rows:
             out[e[1]].append(e)
         return {v: tuple(es) for v, es in out.items()}
 
-    @_memoised
+    @_on_rows
     def _in(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
         inc: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
         for e in self._rows:

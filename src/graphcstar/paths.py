@@ -26,7 +26,6 @@ from typing import Iterable, Optional
 from .graphs import (
     DEFAULT_PATH_CAP,
     CapExceeded,
-    Edge,
     Graph,
     Path,
     _power,
@@ -119,9 +118,10 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     branching graphs, no table holds much more than the square root of the
     output.  The interpreter runs once per first edge and left half: one
     C-level ``map`` over the right halves' ``(ids, ends)`` columns emits all the
-    edges that share them.  The rows are :class:`Edge` objects, which the
-    garbage collector never stops scanning; on outputs of 10^4 edges and more
-    its scans take about 40% of the time.
+    edges that share them.  The rows are the plain ``(id, src, dst)`` tuples
+    that ``zip`` makes, with no call per row, and the garbage collector stops
+    scanning them after one pass; the result's ``Edge`` view is built only
+    when :attr:`Graph.edges` is read, and then takes the rows' place.
     """
     if n < 1:
         raise ValueError("power must be at least 1")
@@ -155,9 +155,8 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
         # half, so it starts some path of length b and neither is empty.
         return tuple(zip(*tails(b, 0, m)))
 
-    new = tuple.__new__
     edges = tuple(chain.from_iterable(
-        map(new, repeat(Edge), zip(map(head.__add__, ids), repeat(src), ends))
+        zip(map(head.__add__, ids), repeat(src), ends)
         for eid, src, dst in g._rows if depth.get(dst, n - 1) >= n - 1
         for s, m in tails(a, b, dst)
         for head in (eid + s,)

@@ -149,8 +149,8 @@ def test_power_past_every_dead_end_is_empty_at_once(tmp_path, capsys):
 
 
 def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch):
-    validations, walks = [], []
-    validate, walk = Graph.validate, paths._violations
+    validations, walks, results = [], [], []
+    validate, walk, power = Graph.validate, paths._violations, paths.power_graph
 
     def counting_validate(self):
         validations.append(len(self._edges))
@@ -160,8 +160,13 @@ def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch)
         walks.append(len(rows))
         return walk(vertices, rows)
 
+    def kept_power(*args, **kwargs):
+        results.append(power(*args, **kwargs))
+        return results[-1]
+
     monkeypatch.setattr(Graph, "validate", counting_validate)
     monkeypatch.setattr(paths, "_violations", counting_walk)
+    monkeypatch.setattr(paths, "power_graph", kept_power)
     for fmt in ("text", "json"):
         walks.clear()
         code, out, _ = run(capsys, "power", G_EXIT, "-n", "10", "--format", fmt)
@@ -177,6 +182,9 @@ def test_power_does_not_validate_its_result_again(tmp_path, capsys, monkeypatch)
         assert code == 0 and "a.1.b.a.1" in out
         assert walks == [8]
     assert validations == []
+    # The serializers read the plain rows and never build the Edge view.
+    assert len(results) == 4 and not any("edges" in vars(r) for r in results)
+    assert all(type(e) is tuple for r in results for e in r._rows)
 
 
 def test_cycles(capsys):

@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path as FsPath
 
 import pytest
@@ -524,6 +525,58 @@ def test_threads_reading_a_fresh_graph_agree():
     assert not any(t.is_alive() for t in threads)
     want = Graph(vs, es)._condensation
     assert all(condensation == want for condensation in seen) and g._condensation in seen
+
+
+def test_threads_reading_a_fresh_power_graph_agree():
+    # Reading the edges swaps the Edge view in for the plain rows in place;
+    # threads that read the view, or compare, hash and index the graph
+    # meanwhile, must neither find the rows gone nor see other values, and
+    # no index built on the plain rows may outlive the swap.
+    g = Graph(("u",), (("f", "u", "u"), ("g", "u", "u")))
+    want = graphcstar.power_graph(g, 11)
+    rows = want._rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-swap
+    try:
+        for _ in range(5):
+            p = graphcstar.power_graph(g, 11)
+
+            def swap():
+                time.sleep(0)  # so that the indexes start on the plain rows
+                return p.edges
+
+            readers = (
+                lambda: (p._out, p._in, p._row_of),
+                swap,
+                lambda: p.out_edges("u"),
+                swap,
+                lambda: (p == want, hash(p) == hash(want), p._rows),
+                swap,
+            )
+            start = threading.Barrier(len(readers))
+            seen = [None] * len(readers)
+
+            def read(i):
+                start.wait(timeout=60)
+                try:
+                    seen[i] = readers[i]()
+                except Exception as e:
+                    seen[i] = e
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(readers))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not any(isinstance(s, Exception) for s in seen), seen
+            assert seen[4][:2] == (True, True) and seen[4][2] == rows, seen[4]
+            assert seen[2] == rows and all(type(e) is Edge for e in seen[2])
+            assert p.edges is p._rows and all(s is p.edges for s in seen[1::2])
+            indexed = (*p._out["u"], *p._in["u"], *p._row_of.values())
+            assert all(type(e) is Edge for e in indexed)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_report_lists_its_lattices_on_each_read():
