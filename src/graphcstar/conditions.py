@@ -251,9 +251,9 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     * the value it attains, the sup norm of ``<zeta, a . zeta>``, is exactly
       the weight at the path's source.
 
-    Returns the first (m, path) found, or None when the bound is exhausted
-    -- which never claims nonexistence; a length with no path from such a
-    vertex ends the search there, as no longer path exists either.
+    Returns the first (m, path) found, or None past ``max_length``, which
+    never claims nonexistence, or past the longest nonreturning path from any
+    such vertex when none reaches a cycle with an exit (``Graph._reach``).
     """
     rows = g._rows  # refuses an invalid graph before the weights' graph is compared
     if not _same_graph(g, req.a.graph):
@@ -263,11 +263,12 @@ def find_witness(g: Graph, req: WitnessRequest) -> Optional[tuple[int, Path]]:
     threshold = req.a.sup_norm - req.epsilon
     first = [e for e in rows if (w := req.a.weights.get(e[1], 0.0)) > threshold or w == threshold
              and fsum((req.a.sup_norm, -req.epsilon, -threshold)) < 0]
-    for m in range(req.n + 1, req.max_length + 1):
-        seq = None
+    # When each source in first has a bound, no witness is longer than theirs.
+    bound, last = g._reach.bound, req.max_length
+    if bound and bound.keys() >= (heavy := {e[1] for e in first}):
+        last = min(last, max(map(bound.get, heavy), default=req.n))
+    for m in range(req.n + 1, last + 1):
         for seq in _walks(g, m, first):
             if seq[-1] not in seq[:-1]:
                 return m, Path(g, seq)
-        if seq is None:
-            break
     return None

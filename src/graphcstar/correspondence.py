@@ -14,19 +14,21 @@ leading block of alpha and alpha overlaps itself with shift k.
 from __future__ import annotations
 
 from math import isfinite, sqrt
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, Path, _refuse_str, _refuse_tuple_arithmetic, _same_graph
 
 
 class VertexWeights(NamedTuple("VertexWeights", [
-        ("graph", Graph), ("weights", dict[str, float])])):
+        ("graph", Graph), ("weights", MappingProxyType[str, float])])):
     """A nonnegative weight for each vertex; omitted vertices weigh 0.
-    Checked whenever one is built, unpickling included."""
+    Checked whenever one is built, unpickling included, and read-only."""
 
     __slots__ = ()
-    __hash__ = None  # the weights are a dict; refused before hashing the graph
+    __hash__ = None  # the weights are a mapping; refused before hashing the graph
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    __getnewargs__ = lambda self: (self.graph, dict(self.weights))  # a proxy does not pickle
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_tuple_arithmetic
 
     def __new__(cls, graph: Graph, weights: dict[str, float]):
@@ -41,10 +43,10 @@ class VertexWeights(NamedTuple("VertexWeights", [
             if w < 0:
                 raise ValueError(f"negative weight {w} at vertex {v!r}")
             clean[v] = w
-        return super().__new__(cls, graph, clean)
+        return super().__new__(cls, graph, MappingProxyType(clean))
 
     def __repr__(self) -> str:
-        return f"VertexWeights(weights={self.weights!r})"
+        return f"VertexWeights(weights={dict(self.weights)!r})"
 
     @classmethod
     def indicator(cls, g: Graph, vertices: Iterable[str]) -> "VertexWeights":
@@ -65,14 +67,15 @@ class VertexWeights(NamedTuple("VertexWeights", [
 
 
 class PathVector(NamedTuple("PathVector", [
-        ("graph", Graph), ("length", int), ("weights", dict[Path, complex])])):
+        ("graph", Graph), ("length", int), ("weights", MappingProxyType[Path, complex])])):
     """Complex weights on paths of one fixed length; omitted paths weigh 0.
     Zero weights are dropped, so equal vectors over one graph compare equal;
-    checked whenever one is built, unpickling included."""
+    checked whenever one is built, unpickling included, and read-only."""
 
     __slots__ = ()
     __hash__ = None
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    __getnewargs__ = lambda self: (self.graph, self.length, dict(self.weights))
     __radd__ = __mul__ = _refuse_tuple_arithmetic
 
     def __new__(cls, graph: Graph, length: int, weights: dict[Path, complex]):
@@ -88,10 +91,10 @@ class PathVector(NamedTuple("PathVector", [
             w = complex(w)
             if w != 0:
                 clean[p] = w
-        return super().__new__(cls, graph, length, clean)
+        return super().__new__(cls, graph, length, MappingProxyType(clean))
 
     def __repr__(self) -> str:
-        return f"PathVector(length={self.length!r}, weights={self.weights!r})"
+        return f"PathVector(length={self.length!r}, weights={dict(self.weights)!r})"
 
     @classmethod
     def delta(cls, path: Path, weight: complex = 1.0) -> "PathVector":

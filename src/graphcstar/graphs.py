@@ -25,9 +25,10 @@ built in C from the rows and dropped at once, so no per-vertex set outlives
 the read; only the routines that walk edges build per-vertex edge lists.
 One Tarjan pass records each vertex's strongly connected component, the
 links between components and the kind of each (``Graph._condensation``),
-and every verdict reads that record.  One pass over it gives
-``Graph._depth``, the longest path from each vertex that reaches no cycle;
-:mod:`graphcstar.paths` reads both to skip dead ends and acyclic regions.
+and every verdict reads that record.  One pass over it, ``Graph._reach``,
+gives each vertex's longest path and longest nonreturning path, where finite:
+:mod:`graphcstar.paths` reads both records to skip dead ends and acyclic
+regions, and ``find_witness`` stops past the second.
 
 Caps bound only enumerations, never a verdict; their defaults and the one
 refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
@@ -35,6 +36,7 @@ refusal of a negative cap, :func:`_refuse_negative_cap`, live here.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from threading import RLock
 from types import MappingProxyType
@@ -135,6 +137,9 @@ class _Condensation(NamedTuple):
     kinds: tuple[str, ...]
 
 
+_Reach = NamedTuple("_Reach", [("depth", dict[str, int]), ("bound", dict[str, int])])
+
+
 def _refuse_assignment(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -215,7 +220,7 @@ class Graph:
     for it.  A power graph holds plain rows too.  The other facts are
     memoised on first read as well: the per-vertex edge lists and indexes,
     the counts of emitting and receiving vertices, the condensation
-    ``_condensation`` and the dead-end depths ``_depth``.
+    ``_condensation`` and the reach facts ``_reach`` read from it.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple[str, str, str]]):
@@ -419,21 +424,30 @@ class Graph:
         return _Condensation(comp_of, tuple(successors), tuple(kinds))
 
     @_memoised
-    def _depth(self) -> dict[str, int]:
-        """For each vertex that reaches no cycle, the length of the longest
-        path from it (0 at a sink); a vertex that reaches a cycle starts a path
-        of every length.  ``_condensation`` lists each component after those it
-        enters, so a pass over it and one over its ``component_of`` fill this
-        in O(V+E).  With no sink every vertex reaches a cycle: ``{}`` at once,
-        with no Tarjan pass."""
-        if self._emitting == len(self.vertices):
-            return {}
+    def _reach(self) -> _Reach:
+        """``depth``, the longest path from each vertex that reaches no cycle (0
+        at a sink), and ``bound``, the longest nonreturning path from each that
+        reaches no cycle with an exit: a simple path, then at most one turn
+        round an exitless cycle.  Other vertices start paths, or nonreturning
+        ones, of every large enough length.  Each component is listed after
+        those it enters, so one pass over the record fills both in O(V+E)."""
         component_of, successors, kinds = self._condensation
-        reach: list[Optional[int]] = []  # per component: its depth, None past a cycle
-        for entered, kind in zip(successors, kinds):
-            ends = [reach[c] for c in entered]
-            reach.append(None if kind != "acyclic" or None in ends else 1 + max(ends, default=-1))
-        return {v: reach[k] for v, k in component_of.items() if reach[k] is not None}
+        sizes = Counter(component_of.values()) if "exitless" in kinds else {}
+        depth: list[Optional[int]] = []  # per component, None past a cycle
+        bound: list[Optional[int]] = []  # per component, None past a cyclic one
+        for k, (entered, kind) in enumerate(zip(successors, kinds)):
+            ds, bs = [depth[c] for c in entered], [bound[c] for c in entered]
+            depth.append(None if kind != "acyclic" or None in ds else 1 + max(ds, default=-1))
+            bound.append(None if kind == "cyclic" or None in bs else
+                         sizes[k] if kind == "exitless" else 1 + max(bs, default=-1))
+        return _Reach(*({v: f[k] for v, k in component_of.items() if f[k] is not None}
+                        for f in (depth, bound)))
+
+    @_memoised
+    def _depth(self) -> dict[str, int]:
+        """``_reach.depth``; with no sink every vertex reaches a cycle: ``{}``
+        at once, with no Tarjan pass."""
+        return {} if self._emitting == len(self.vertices) else self._reach.depth
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges emitted at ``v``, in declaration order."""

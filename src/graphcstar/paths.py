@@ -7,8 +7,8 @@ number of paths or cycles; ``power_graph`` and ``simple_cycles`` refuse
 past a cap.  The enumerations read the graph's memoised facts:
 ``simple_cycles`` skips the bases that ``Graph._condensation`` marks acyclic
 and searches each component alone, and ``power_graph`` and the path counter
-find dead ends in ``Graph._depth``, the longest path from each vertex that
-reaches no cycle.  No verdict enumerates paths (each reads
+find dead ends in ``Graph._reach.depth``, the longest path from each vertex
+that reaches no cycle.  No verdict enumerates paths (each reads
 ``Graph._condensation``), so this module is loaded only where paths are
 listed: by the ``power`` and ``cycles`` subcommands, by
 ``condition_L_bruteforce``, and on the first use of one of its public names
@@ -106,8 +106,8 @@ def power_graph(g: Graph, n: int, cap: int = DEFAULT_PATH_CAP) -> Graph:
     ``g``.  Refuses with :class:`CapExceeded` when the result would have more
     than ``cap`` edges, and with ValueError when ``cap`` is negative.
 
-    Cost: the dead ends are read from ``Graph._depth``, the longest path
-    from each vertex that reaches no cycle, in O(V+E) time and O(V) memory;
+    Cost: the dead ends, the longest path from each vertex that reaches no
+    cycle (``Graph._reach.depth``), take O(V+E) time and O(V) memory;
     when no vertex reaches a cycle and n exceeds every depth, the answer is
     empty at once.  Otherwise the cap check takes O(min(n (V+E), (V+1)(V+E) +
     V^3 log n)), and building the ids O(output characters * log n).  Each path
@@ -179,7 +179,7 @@ def _count_paths_saturating(g: Graph, n: int, ceiling: Optional[int] = None) -> 
     For nonnegative integers, ``min(., ceiling)`` commutes with sums and
     products, so clamping every partial count keeps it equal to the clamped
     exact count.  When no vertex reaches a cycle, every count is 0 past the
-    longest path, read from ``Graph._depth``, so a longer n gives 0 at once.
+    longest path, read from ``Graph._reach.depth``, so a longer n gives 0 at once.
     Otherwise it steps c_0 = 1, c_r(v) = min(ceiling, sum of c_{r-1}(dst e)
     over e out of v), at V+E a step, until a step changes no count.  Exact
     counts that settle do so within V+1 steps, as each path from a settled

@@ -108,6 +108,18 @@ def lcm_graph() -> Graph:
     return Graph(vertices, edges)
 
 
+def layers_into_loop(depth: int = 11, width: int = 4) -> Graph:
+    """u -> ``depth`` complete layers of ``width`` vertices -> z, with a loop
+    at z: width^(depth-1) paths from u reach z, yet every nonreturning one
+    has at most depth + 2 edges."""
+    layers = [[f"x{i}_{j}" for j in range(width)] for i in range(depth)]
+    edges = [(f"a{j}", "u", x) for j, x in enumerate(layers[0])]
+    edges += [(f"b{i}_{j}_{k}", x, y) for i in range(depth - 1)
+              for j, x in enumerate(layers[i]) for k, y in enumerate(layers[i + 1])]
+    edges += [(f"c{j}", x, "z") for j, x in enumerate(layers[-1])] + [("l", "z", "z")]
+    return Graph(("u", *(x for layer in layers for x in layer), "z"), tuple(edges))
+
+
 # name -> (graph, fixture file name)
 FIXTURE_GRAPHS: dict[str, tuple[Graph, str]] = {
     "g_cycle2": (cycle_graph(2), "g_cycle2.txt"),

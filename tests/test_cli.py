@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from graphcstar import Graph, parse_dsl, paths, serialize_dsl, serialize_json
 from graphcstar.cli import build_parser, main
 
-from conftest import FIXTURES_DIR, chain_graph, cycle_graph, fixture_path, one_edge_each, time_limit
+from conftest import (FIXTURES_DIR, chain_graph, cycle_graph, fixture_path, layers_into_loop,
+                      one_edge_each, time_limit)
 
 G_SOURCE_LOOP = str(fixture_path("g_source_loop"))
 G_CYCLE2 = str(fixture_path("g_cycle2"))
@@ -234,6 +235,17 @@ def test_witness_stops_at_the_first_length_without_a_path(tmp_path, capsys):
             3, "no witness found up to length 1000000000000 (existence is not ruled out)\n", "")
         assert run(capsys, *argv, "--format", "json") == (
             3, '{"found": false, "searched_max_length": 1000000000000}\n', "")
+
+
+def test_witness_stops_past_the_longest_nonreturning_path(tmp_path, capsys):
+    # no nonreturning path from u is longer than 13: exit 3 at once, with the
+    # output of an exhausted bound
+    path = tmp_path / "layers.txt"
+    path.write_text(serialize_dsl(layers_into_loop()))
+    with time_limit(1):
+        assert run(capsys, "witness", str(path), "--support", "u", "--epsilon", "0.5", "--n", "13",
+                   "--max-length", "14") == (
+            3, "no witness found up to length 14 (existence is not ruled out)\n", "")
 
 
 def test_witness_found(capsys):

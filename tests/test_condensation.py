@@ -1,6 +1,6 @@
-"""The condensation record ``Graph._condensation`` and the depths read from
-it, ``Graph._depth``, against definitions, and the routes that read them
-instead of working out component facts again."""
+"""The condensation record ``Graph._condensation`` and the reach facts read
+from it, ``Graph._reach`` and its view ``Graph._depth``, against definitions,
+and the routes that read them instead of working out component facts again."""
 
 import random
 
@@ -8,6 +8,7 @@ import pytest
 
 import graphcstar
 from graphcstar import Graph, classify, condition_S, connectivity, lattice_bruteforce, parse_dsl
+from graphcstar.graphs import _walks
 from graphcstar.ideals import _trivial_flags, saturated_hereditary_closure
 
 from conftest import iso_graphs, members, random_graph, time_limit
@@ -63,10 +64,13 @@ def _check_record(g, nx):
         assert successors[k] == entered and all(c < k for c in entered)  # reverse topological
         assert kinds[k] == _kind(g, group)
     # (S) iff (L) and no sinks, read as: every component reaches a cyclic one.
+    # The fold bounds the nonreturning paths from exactly the other vertices,
+    # so (S) read from its definition holds iff it bounds none.
     good = []
     for entered, kind in zip(successors, kinds):
         good.append(kind == "cyclic" or any(good[c] for c in entered))
-    assert condition_S(g).holds == all(good)
+    assert condition_S(g).holds == all(good) == (not g._reach.bound)
+    assert {v for v in g.vertices if not good[rank[v]]} == g._reach.bound.keys()
     assert _trivial_flags(g) == _closure_flags(g)
     # The saturated lattice is trivial iff there is at most one node: a
     # component that is not acyclic or that enters no other.
@@ -74,13 +78,28 @@ def _check_record(g, nx):
     assert _trivial_flags(g)[1] == (len(nodes) <= 1)
 
 
+def _longest_nonreturning(g, v, longest):
+    """The length of the longest nonreturning path from ``v`` of at most
+    ``longest`` edges (0 if none), its paths walked lazily."""
+    return max((m for m in range(1, longest + 1)
+                if any(seq[-1] not in seq[:-1] for seq in _walks(g, m, g._out[v]))), default=0)
+
+
 def test_record_matches_definitions_on_every_small_graph():
     nx = pytest.importorskip("networkx")
     assert len(SMALL) == 4388
+    bounded = 0
     for g in SMALL:
         _check_record(g, nx)
         assert _trivial_flags(g) == tuple(
             lattice_bruteforce(g, kind).is_trivial() for kind in ("hereditary", "saturated_hereditary"))
+        # Far past the bound, where a path from a vertex that reaches no
+        # cycle with an exit goes round its exitless cycle more than twice.
+        longest = 3 * len(g.vertices) + 2
+        for v, bound in g._reach.bound.items():
+            assert bound == _longest_nonreturning(g, v, longest), (g, v)
+        bounded += len(g._reach.bound)
+    assert bounded == 8628  # of 16,435 vertices
 
 
 def test_record_matches_definitions_on_large_graphs():
@@ -91,6 +110,10 @@ def test_record_matches_definitions_on_large_graphs():
     assert cycle._condensation.kinds == ("exitless",)
     assert chain._condensation.kinds == ("cyclic",) + ("acyclic",) * (10**4 - 1)
     assert {"acyclic", "cyclic"} <= set(dense._condensation.kinds)
+    # Once round the bare cycle from each vertex; every chain vertex reaches
+    # the two loops, a cycle with an exit.
+    assert cycle._reach.bound == dict.fromkeys(cycle.vertices, 10**4)
+    assert chain._reach.bound == {}
 
 
 def _depth_by_definition(g):

@@ -35,6 +35,7 @@ from conftest import (
     cycle_graph,
     exit_graph,
     iso_graphs,
+    layers_into_loop,
     lcm_graph,
     random_graph,
     random_no_sink_no_source,
@@ -494,9 +495,12 @@ def _witness_reference(g, req):
 
 
 def test_find_witness_matches_eager_reference():
+    # The second thousand search past max(n, V): no nonreturning path from a
+    # vertex that reaches no cycle with an exit is longer than V, so there a
+    # search that stops at the heavy vertices' bound must agree too.
     rng = random.Random(29)
-    hits = 0
-    for _ in range(1000):
+    hits = [0, 0]
+    for i in range(2000):
         g = random_graph(rng, max_vertices=5, max_edges=8)
         weights = {v: rng.choice((0.0, 0.25, 0.5, 1.0, rng.random())) for v in g.vertices}
         weights[rng.choice(g.vertices)] = rng.choice((1.0, 2.0, rng.uniform(0.5, 2.0)))
@@ -508,12 +512,29 @@ def test_find_witness_matches_eager_reference():
         else:
             epsilon = a.sup_norm * rng.uniform(0.01, 1.0)
         n = rng.randint(0, 3)
-        req = WitnessRequest(a=a, n=n, epsilon=epsilon, max_length=n + rng.randint(1, 3))
+        if i < 1000:
+            max_length = n + rng.randint(1, 3)
+        else:
+            max_length = max(n, len(g.vertices)) + rng.randint(1, 2)
+        req = WitnessRequest(a=a, n=n, epsilon=epsilon, max_length=max_length)
         found = find_witness(g, req)
         expected = _witness_reference(g, req)
         assert (None if found is None else (found[0], found[1].edges)) == expected, g
-        hits += found is not None
-    assert 300 < hits < 900  # both outcomes exercised
+        hits[i >= 1000] += found is not None
+    assert all(300 < h < 900 for h in hits), hits  # both outcomes exercised
+
+
+def test_find_witness_stops_past_the_longest_nonreturning_path():
+    # Every nonreturning path from u has at most 13 edges (one into each of
+    # the 11 layers, one into z, one turn of its loop), but 4^10 reach z:
+    # a search that does not stop at the bound of u walks them all at length 14.
+    g = layers_into_loop()
+    assert g._reach.bound["u"] == 13
+    req = WitnessRequest(a=VertexWeights.indicator(g, ["u"]), n=13, epsilon=0.5, max_length=14)
+    with time_limit(1):
+        assert find_witness(g, req) is None
+    first = g.path(["a0", *(f"b{i}_0_0" for i in range(10)), "c0", "l"])
+    assert find_witness(g, req._replace(n=12)) == (13, first)
 
 
 def test_find_witness_on_long_paths():

@@ -377,6 +377,25 @@ def test_weights_and_vectors_check_on_unpickling():
                 clone(unchecked)
 
 
+def test_weights_and_vectors_are_read_only():
+    # The checked weights are held in a read-only view of a dict of their
+    # own, so no write, in place or through the caller's dict, passes the
+    # checks by: not an unknown vertex, a negative weight or a stray path.
+    g = Graph(("u",), (Edge("e", "u", "u"),))
+    given = {"u": 1.0}
+    a = VertexWeights(g, given)
+    x = PathVector.delta(g.path(["e"]))
+    given["u"] = -1.0
+    for weights, key in ((a.weights, "zz"), (a.weights, "u"), (x.weights, g.path(["e", "e"]))):
+        with pytest.raises(TypeError):
+            weights[key] = -2.0
+        with pytest.raises(TypeError):
+            del weights[key]
+        with pytest.raises(AttributeError):
+            weights.update({key: -2.0})
+    assert a.weights == {"u": 1.0} and x.weights == {g.path(["e"]): 1.0}
+
+
 def test_weights_and_vectors_do_not_repeat_as_tuples():
     g = Graph(("u",), (Edge("e", "u", "u"),))
     a = VertexWeights(g, {"u": 1.0})
